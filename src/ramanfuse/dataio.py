@@ -254,7 +254,11 @@ def save_cube(cube: HyperspectralCube, path, binary: bool = False) -> None:
 
 
 def load_cube(path) -> HyperspectralCube:
-    """Read a cube file (text or binary variant), mask all-true."""
+    """Read a cube file (text or binary variant), mask all-true.
+
+    Every defect of the file raises a DataError: MalformedFile for bad
+    tokens, non-ASCII text and non-finite values, TruncatedData for missing
+    pixels or bands."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"cube not found: {path}")
@@ -268,10 +272,13 @@ def load_cube(path) -> HyperspectralCube:
         dims = fh.readline().split()
         if len(dims) != 3:
             raise MalformedFile("cube dimension line malformed")
-        w, h, b = (int(v) for v in dims)
+        try:
+            w, h, b = (int(v) for v in dims)
+        except ValueError:
+            raise MalformedFile(f"cube dimensions must be integers, got {dims!r}") from None
         if w <= 0 or h <= 0 or b <= 0:
             raise MalformedFile("cube dimensions must be positive")
-        axis = np.array([float(v) for v in fh.readline().split()], dtype=np.float64)
+        axis = np.array(_parse_floats(fh.readline(), None, "wavenumber axis"))
         if axis.shape[0] != b:
             raise TruncatedData("wavenumber axis length != n_bands")
         if variant == "binary":
@@ -285,12 +292,22 @@ def load_cube(path) -> HyperspectralCube:
                 line = fh.readline()
                 if not line:
                     raise TruncatedData("cube declares more pixels than present")
-                vals = line.decode("ascii").split(",")
+                vals = _parse_floats(line, ",", "pixel spectrum")
                 if len(vals) != b:
                     raise TruncatedData("pixel spectrum length mismatch")
-                rows.append([float(v) for v in vals])
+                rows.append(vals)
             data = np.array(rows, dtype=np.float64).reshape(h, w, b)
+    if not (np.isfinite(axis).all() and np.isfinite(data).all()):
+        raise MalformedFile("cube holds non-finite values")
     return HyperspectralCube(wavenumbers=axis, data=data.astype(np.float64))
+
+
+def _parse_floats(line: bytes, sep, what: str) -> list[float]:
+    """Floats from one ASCII line split at sep (None: whitespace)."""
+    try:
+        return [float(v) for v in line.decode("ascii").split(sep)]
+    except (UnicodeDecodeError, ValueError):
+        raise MalformedFile(f"{what} holds a token that is not an ASCII number") from None
 
 
 # --- PGM / PPM images --------------------------------------------------------

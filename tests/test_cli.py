@@ -102,6 +102,19 @@ class TestExitCodes:
         bad.write_text("[1, 2]")
         assert cli.main(["synth", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_malformed_cube_is_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "s1_dp.pgm").write_bytes(b"P5\n1 1\n255\n\x00")
+        (tmp_path / "s1.cube").write_bytes(b"ramancube text 1\n2.5 2 1\n400.0\n1\n")
+        (tmp_path / "manifest.json").write_text(json.dumps({"samples": [{
+            "patient_id": "p1", "sample_id": "s1", "label": "normal",
+            "dp_path": "s1_dp.pgm", "rci_path": "s1.cube",
+        }]}))
+        assert cli.main([
+            "median-spectrum", "--manifest", str(tmp_path / "manifest.json"),
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_numerical_failure_maps_to_exit_3(self, monkeypatch, tmp_path):
         def boom(args, config):
             raise NumericalError("probe")

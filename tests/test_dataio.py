@@ -125,6 +125,46 @@ class TestCube:
         with pytest.raises(TruncatedData):
             dataio.load_cube(path)
 
+    @staticmethod
+    def text_cube(tmp_path, dims=b"2 1 3", axis=b"400.0 500.0 600.0", rows=(b"1,2,3", b"4,5,6")):
+        path = tmp_path / "c.cube"
+        path.write_bytes(b"\n".join([b"ramancube text 1", dims, axis, *rows]) + b"\n")
+        return path
+
+    def test_text_cube_literal_loads(self, tmp_path):
+        cube = dataio.load_cube(self.text_cube(tmp_path))
+        assert cube.data.shape == (1, 2, 3)
+        assert cube.data[0, 1].tolist() == [4.0, 5.0, 6.0]
+
+    @pytest.mark.parametrize(
+        "part",
+        [
+            {"dims": b"2.5 2 1"},
+            {"dims": b"2 1 x3"},
+            {"axis": b"400.0 abc 600.0"},
+            {"axis": b"400.0 500.0 inf"},
+            {"rows": (b"1,2,3", b"4,\xc3\xa9,6")},
+            {"rows": (b"1,2,3", b"4,five,6")},
+            {"rows": (b"1,nan,3", b"4,5,6")},
+            {"rows": (b"1,2,3", b"4,-inf,6")},
+        ],
+        ids=[
+            "float-dim", "word-dim", "word-axis", "inf-axis",
+            "non-ascii", "word-value", "nan", "inf",
+        ],
+    )
+    def test_malformed_text_cube_raises_malformed_file(self, tmp_path, part):
+        with pytest.raises(MalformedFile):
+            dataio.load_cube(self.text_cube(tmp_path, **part))
+
+    def test_non_finite_binary_cube_rejected(self, tmp_path):
+        data = np.ones((2, 2, 3))
+        data[1, 0, 2] = np.nan
+        path = tmp_path / "c.cube"
+        dataio.save_cube(HyperspectralCube(np.array([1.0, 2.0, 3.0]), data), path, binary=True)
+        with pytest.raises(MalformedFile):
+            dataio.load_cube(path)
+
     def test_non_monotone_axis_rejected(self):
         with pytest.raises(MalformedFile):
             HyperspectralCube(wavenumbers=[3.0, 2.0, 4.0], data=np.zeros((1, 1, 3)))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from ramanfuse.sift import (
     SiftParams,
     assign_orientations,
     build_scale_space,
+    compute_descriptor,
     descriptor_matrix,
     detect_keypoints,
     extract,
     normalize_descriptor,
 )
+
+GOLDEN = Path(__file__).parent / "data" / "sift_golden.npz"
+PIPELINE_SIFT = SiftParams(contrast_threshold=0.02, upsample_first=True)
 
 
 def to_grey(arr):
@@ -101,7 +106,36 @@ class TestScaleSpace:
             build_scale_space(GreyImage(np.zeros((15, 40), dtype=np.uint8)))
 
 
+def dense_local_extrema(dog, floor):
+    """Reference: every interior point against all 26 neighbours at once."""
+    n_l, h, w = dog.shape
+    centre = dog[1:-1, 1:-1, 1:-1]
+    is_max = np.abs(centre) > floor
+    is_min = is_max.copy()
+    for dl in (-1, 0, 1):
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                if dl == dr == dc == 0:
+                    continue
+                nb = dog[1 + dl:n_l - 1 + dl, 1 + dr:h - 1 + dr, 1 + dc:w - 1 + dc]
+                is_max &= centre > nb
+                is_min &= centre < nb
+    return np.argwhere(is_max | is_min) + 1
+
+
 class TestDetect:
+    @pytest.mark.parametrize("levels", [3, 50])
+    def test_local_extrema_match_dense_reference(self, levels):
+        # few distinct values make ties common, so strictness is exercised
+        from ramanfuse.sift import _local_extrema
+
+        rng = np.random.default_rng(levels)
+        dog = rng.integers(0, levels, size=(5, 23, 19)) / levels - 0.5
+        for floor in (0.0, 0.2):
+            got = _local_extrema(dog, floor)
+            assert got.tolist() == dense_local_extrema(dog, floor).tolist()
+        assert len(_local_extrema(dog, 0.0)) > 0
+
     def test_constant_image_no_keypoints(self):
         space = build_scale_space(GreyImage(np.full((32, 32), 9, dtype=np.uint8)))
         assert detect_keypoints(space) == []
@@ -288,3 +322,98 @@ class TestExtract:
         pairs = extract(img)
         keys = [(k.octave, k.y, k.x, k.scale, k.orientation) for k, _ in pairs]
         assert keys == sorted(keys)
+
+
+class TestGolden:
+    """extract() output frozen for three fixed images.
+
+    tests/data/sift_golden.npz was written by the per-keypoint extractor
+    that preceded the per-level batched one, with PipelineConfig().sift
+    (contrast 0.02, first octave upsampled). Its images are:
+
+    * dp: ``prepare_dp`` at 128 px of the first sample's pathology image
+      of ``synth.generate(SynthSpec(n_patients=2, n_samples=4, seed=3))``;
+    * rci: ``prepare_rci`` at 96 px (masked mean image, cubic resize,
+      histogram equalization) of that sample's cube;
+    * texture: acceptance 7's ``_smooth_bump_texture(default_rng(6),
+      size=96)`` pasted at (16, 16) into a 128x128 image filled with its
+      integer mean.
+
+    For each it stores the image, per-keypoint (x, y, scale, orientation,
+    octave, layer), the responses and the (n, 128) descriptors, in
+    extract() order.
+    """
+
+    @pytest.mark.parametrize("name", ["dp", "rci", "texture"])
+    def test_matches_frozen_output(self, name):
+        gold = np.load(GOLDEN)
+        pairs = extract(GreyImage(gold[f"{name}_image"]), PIPELINE_SIFT)
+        geometry = gold[f"{name}_geometry"]
+        assert len(pairs) == len(geometry) > 0
+        got = np.array(
+            [[k.x, k.y, k.scale, k.orientation, k.octave, k.layer] for k, _ in pairs]
+        )
+        assert np.array_equal(got, geometry)
+        response = np.array([k.response for k, _ in pairs])
+        assert np.allclose(response, gold[f"{name}_response"], rtol=0, atol=1e-12)
+        assert np.allclose(
+            descriptor_matrix(pairs), gold[f"{name}_descriptors"], rtol=0, atol=1e-12
+        )
+
+
+class TestPerKeypointPath:
+    def test_composition_equals_extract(self):
+        img = GreyImage(np.load(GOLDEN)["dp_image"])
+        space = build_scale_space(img, PIPELINE_SIFT)
+        composed = []
+        for kp in detect_keypoints(space):
+            for oriented in assign_orientations(kp, space):
+                desc = compute_descriptor(oriented, space)
+                if desc is not None:
+                    composed.append((oriented, desc))
+        composed.sort(
+            key=lambda kd: (kd[0].octave, kd[0].y, kd[0].x, kd[0].scale, kd[0].orientation)
+        )
+        pairs = extract(img, PIPELINE_SIFT)
+        assert len(composed) == len(pairs) > 0
+        for (ka, da), (kb, db) in zip(composed, pairs):
+            assert ka == kb
+            assert np.array_equal(da, db)
+
+    def test_border_keypoint_uses_clipped_patch(self):
+        # left edge of a horizontal ramp: the orientation window is cut at
+        # column 1 but the remaining gradients still point along +x
+        img = np.tile(np.arange(64, dtype=np.uint8) * 3, (64, 1))
+        space = build_scale_space(GreyImage(img))
+        kp = Keypoint(
+            x=1.0, y=32.0, scale=2.016, orientation=0.0, response=1.0,
+            octave=0, layer=1, octave_scale=2.016,
+        )
+        oriented = assign_orientations(kp, space)
+        assert len(oriented) >= 1
+        angle = oriented[0].orientation
+        assert min(angle, 2 * np.pi - angle) < 0.1
+
+    def test_window_leaving_image_gives_none(self):
+        img = np.tile(np.arange(64, dtype=np.uint8) * 3, (64, 1))
+        space = build_scale_space(GreyImage(img))
+        inside = Keypoint(32.0, 32.0, 2.016, 0.0, 1.0, 0, 1, 2.016)
+        near_edge = Keypoint(6.0, 32.0, 2.016, 0.0, 1.0, 0, 1, 2.016)
+        assert compute_descriptor(inside, space) is not None
+        assert compute_descriptor(near_edge, space) is None
+
+    def test_singular_hessian_candidate_dropped(self):
+        # two strict maxima in one octave: the one at column 4 has layer/row
+        # curvatures (-2, -2) and a layer-row mixed term of 2, so its 3x3
+        # Hessian is exactly singular; the one at column 12 is regular
+        from ramanfuse.sift import ScaleSpace, _local_extrema
+
+        dog = np.zeros((3, 9, 17))
+        for col, mixed in ((4, -3.5), (12, 0.0)):
+            dog[1, 4, col] = 1.0
+            dog[2, 5, col] = dog[0, 3, col] = 0.5
+            dog[2, 3, col] = dog[0, 5, col] = mixed
+        space = ScaleSpace([np.zeros((4, 9, 17))], [dog], [1.0], SiftParams())
+        assert _local_extrema(dog, 0.0).tolist() == [[1, 4, 4], [1, 4, 12]]
+        kept = detect_keypoints(space)
+        assert [(k.x, k.y, k.layer) for k in kept] == [(12.0, 4.0, 1)]
