@@ -7,10 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import GreyImage
 from .errors import ModalityMismatch, TooFewDescriptors
 from .seeds import rng_for
-from . import sift
 
 DP_DICTIONARY_SIZES = (50, 75, 100, 200, 300, 500, 1000)
 RCI_DICTIONARY_SIZES = (5, 10, 25, 50, 100, 200, 300)
@@ -69,11 +67,20 @@ class WordHistogram:
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels and squared distances, chunked so memory stays
-    linear in n. Ties go to the lowest centroid index (argmin semantics)."""
+    linear in n. Ties go to the lowest centroid index (argmin semantics).
+
+    A repeated centroid is scored once, at its first index: the matrix product
+    may round one dot product differently per column, which would otherwise
+    let a later copy beat its first instance."""
+    c_sq = (centroids**2).sum(axis=1)
+    if len(np.unique(c_sq)) < len(c_sq):  # repeated rows have equal norms
+        first = np.sort(np.unique(centroids, axis=0, return_index=True)[1])
+        if len(first) < len(centroids):
+            labels, dist2 = _assign(points, centroids[first])
+            return first[labels], dist2
     n = points.shape[0]
     labels = np.empty(n, dtype=np.int64)
     dist2 = np.empty(n, dtype=np.float64)
-    c_sq = (centroids**2).sum(axis=1)
     for lo in range(0, n, _ASSIGN_CHUNK):
         chunk = points[lo:lo + _ASSIGN_CHUNK]
         d2 = (
@@ -157,31 +164,6 @@ def inertia(descriptors: np.ndarray, dictionary: VisualDictionary) -> float:
     return float(((points - dictionary.centroids[labels]) ** 2).sum())
 
 
-def build_dictionary(
-    reference_images: list[GreyImage],
-    k: int,
-    seed: int,
-    modality: str = "dp",
-    sift_params: sift.SiftParams = sift.SiftParams(),
-) -> VisualDictionary:
-    """Pool descriptors over all reference images, then cluster."""
-    pools = [sift.descriptor_matrix(sift.extract(img, sift_params)) for img in reference_images]
-    stacked = np.concatenate([p for p in pools if p.size] or [np.zeros((0, 128))])
-    if stacked.shape[0] < k:
-        raise TooFewDescriptors(
-            f"reference images yielded {stacked.shape[0]} descriptors, need {k}"
-        )
-    return kmeans(stacked, k, seed, modality=modality)
-
-
-def quantize(descriptor: np.ndarray, dictionary: VisualDictionary) -> int:
-    """Index of the nearest centroid by Euclidean distance (lowest index on
-    ties)."""
-    d = np.asarray(descriptor, dtype=np.float64)
-    diff = dictionary.centroids - d[None, :]
-    return int(np.argmin((diff**2).sum(axis=1)))
-
-
 def encode_descriptors(descriptors: np.ndarray, dictionary: VisualDictionary) -> WordHistogram:
     """Histogram of raw visual-word counts for precomputed descriptors."""
     mat = np.asarray(descriptors, dtype=np.float64).reshape(-1, 128)
@@ -190,20 +172,6 @@ def encode_descriptors(descriptors: np.ndarray, dictionary: VisualDictionary) ->
         labels, _ = _assign(mat, dictionary.centroids)
         counts = np.bincount(labels, minlength=dictionary.k)
     return WordHistogram(counts, dictionary.modality)
-
-
-def encode(
-    img: GreyImage,
-    dictionary: VisualDictionary,
-    sift_params: sift.SiftParams = sift.SiftParams(),
-) -> WordHistogram:
-    """Histogram of raw visual-word counts over an image's descriptors.
-
-    A blank image legitimately encodes to the all-zero histogram.
-    """
-    return encode_descriptors(
-        sift.descriptor_matrix(sift.extract(img, sift_params)), dictionary
-    )
 
 
 def feature_vector(hist: WordHistogram, normalize: bool = False) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bovw, dataio, evaluation, experiments, plsda, spectral, svm, synth
-from .errors import DataError, MalformedFile, MissingFile, NumericalError
+from .errors import DataError, MalformedFile, MissingFile, ModalityMismatch, NumericalError
 from .seeds import derive_seed
 
 TASKS = experiments.TASKS
@@ -57,6 +57,25 @@ def _load_config(path) -> dict:
     if not isinstance(doc, dict):
         raise MalformedFile("config file must hold a JSON object")
     return {str(k).replace("-", "_"): v for k, v in doc.items()}
+
+
+def _check_config(parser: argparse.ArgumentParser, config: dict) -> None:
+    """Hold each config-file value to the type and choices of the flag it
+    stands in for, so a bad value stops the run before any work."""
+    for action in parser._actions:
+        if action.dest not in config:
+            continue
+        value = config[action.dest]
+        try:
+            checked = value if action.type is None else action.type(str(value))
+            ok = action.choices is None or checked in action.choices
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise _UsageError(
+                f"{parser.prog}: error: config value {action.dest}={value!r} is not "
+                f"valid for {action.option_strings[-1]}"
+            )
 
 
 def _opt(args, config: dict, name: str, default=None):
@@ -111,11 +130,16 @@ def _load_task_manifest(args, config):
     return dataio.load_manifest(path)
 
 
-def _out_dir(args, config) -> Path:
+def _out_path(args, config, what: str) -> str:
+    """The required --out value; checked before a command does any work."""
     out = _opt(args, config, "out")
     if out is None:
-        raise _UsageError("an --out location is required")
-    out = Path(out)
+        raise _UsageError(f"an --out {what} is required")
+    return out
+
+
+def _out_dir(args, config) -> Path:
+    out = Path(_out_path(args, config, "location"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -156,14 +180,10 @@ def _cmd_preprocess(args, config) -> int:
     out = _out_dir(args, config)
     cfg = _pipeline_config(args, config)
     for record in manifest.samples:
-        img = dataio.load_image(record.dp_path)
-        dataio.save_image(
-            experiments.prepare_dp(img, cfg.dp_size), out / f"{record.sample_id}_dp.pgm"
-        )
-        cube = dataio.load_cube(record.rci_path)
-        rci_img, mask = experiments.prepare_rci(cube, cfg.rci_size)
-        dataio.save_image(rci_img, out / f"{record.sample_id}_rci.pgm")
-        dataio.save_mask(mask, out / f"{record.sample_id}_mask.pgm")
+        sample = experiments.prepare_sample(record, cfg)
+        dataio.save_image(sample.dp, out / f"{record.sample_id}_dp.pgm")
+        dataio.save_image(sample.rci, out / f"{record.sample_id}_rci.pgm")
+        dataio.save_mask(sample.mask, out / f"{record.sample_id}_mask.pgm")
     print(f"preprocessed {len(manifest.samples)} samples into {out}")
     return 0
 
@@ -173,10 +193,9 @@ def _cmd_median_spectrum(args, config) -> int:
     out = _out_dir(args, config)
     updated = []
     for record in manifest.samples:
-        cube = dataio.load_cube(record.rci_path)
-        spectrum = experiments.median_for(cube)
+        sample = experiments.prepare_sample(record, include_images=False)
         path = out / f"{record.sample_id}_median.csv"
-        spectral.save_spectrum(spectrum, path)
+        spectral.save_spectrum(sample.median, path)
         updated.append(replace(record, median_spectrum_path=path))
     new_manifest = dataio.CohortManifest(tuple(updated), manifest.seed, out)
     dataio.save_manifest(new_manifest, out / synth.MANIFEST_NAME)
@@ -186,6 +205,7 @@ def _cmd_median_spectrum(args, config) -> int:
 
 def _cmd_build_dict(args, config) -> int:
     manifest = _load_task_manifest(args, config)
+    out = _out_path(args, config, "model file")
     task = _opt(args, config, "task", "nc-c")
     modality = _opt(args, config, "modality")
     if modality not in ("dp", "rci"):
@@ -200,18 +220,12 @@ def _cmd_build_dict(args, config) -> int:
         sub, k=cfg.folds, reference_fraction=cfg.reference_fraction, seed=seed
     )
     reference = set(plan.reference_patients)
-    pools = []
-    for record in records:
-        if record.patient_id not in reference:
-            continue
-        dp_desc, rci_desc = experiments.sample_descriptors(record, cfg)
-        pools.append(dp_desc if modality == "dp" else rci_desc)
-    pooled = np.concatenate(pools or [np.zeros((0, 128))])
+    ref_manifest = dataio.CohortManifest(
+        tuple(r for r in records if r.patient_id in reference), manifest.seed, manifest.root
+    )
+    desc = experiments.extract_cohort(ref_manifest, task, cfg)
+    pooled = desc.pool(modality, range(len(desc.y)))
     dictionary = bovw.kmeans(pooled, k, seed, modality=modality)
-
-    out = _opt(args, config, "out")
-    if out is None:
-        raise _UsageError("an --out model file is required")
     dataio.save_model(dictionary, out)
     print(
         f"built {modality} dictionary (k={k}) from {len(pooled)} descriptors "
@@ -222,10 +236,9 @@ def _cmd_build_dict(args, config) -> int:
 
 def _cmd_encode(args, config) -> int:
     manifest = _load_task_manifest(args, config)
+    out = _out_path(args, config, "CSV file")
     task = _opt(args, config, "task", "nc-c")
     modality = _opt(args, config, "modality", "fused")
-    if modality not in ("dp", "rci", "fused"):
-        raise _UsageError("encode covers the image routes: dp, rci, or fused")
     cfg = _pipeline_config(args, config)
 
     dicts = {}
@@ -233,39 +246,27 @@ def _cmd_encode(args, config) -> int:
         path = _opt(args, config, flag)
         if path is not None:
             dicts[name] = dataio.load_model(path)
-    needed = ("dp", "rci") if modality == "fused" else (modality,)
-    for name in needed:
+    routes = experiments.ROUTES[modality]
+    for name in routes:
         if name not in dicts:
             raise _UsageError(f"encode --modality {modality} needs --{name}-dict")
+        if getattr(dicts[name], "modality", None) != name:
+            raise ModalityMismatch(f"--{name}-dict does not hold a {name} dictionary")
 
-    records, y = experiments.task_records(manifest, task)
+    desc = experiments.extract_cohort(manifest, task, cfg)
     rows = []
     width = None
-    for record, label in zip(records, y):
-        dp_desc, rci_desc = experiments.sample_descriptors(record, cfg)
-        if modality == "dp":
-            vec = bovw.feature_vector(
-                bovw.encode_descriptors(dp_desc, dicts["dp"]), cfg.normalize
-            )
-        elif modality == "rci":
-            vec = bovw.feature_vector(
-                bovw.encode_descriptors(rci_desc, dicts["rci"]), cfg.normalize
-            )
-        else:
-            vec = bovw.fuse(
-                bovw.encode_descriptors(dp_desc, dicts["dp"]),
-                bovw.encode_descriptors(rci_desc, dicts["rci"]),
-                cfg.normalize,
-            )
+    for i, record in enumerate(desc.manifest.samples):
+        vec = experiments.feature_row(
+            [bovw.encode_descriptors(desc.route(r)[i], dicts[r]) for r in routes],
+            cfg.normalize,
+        )
         width = len(vec)
         rows.append(
-            [record.sample_id, record.patient_id, record.label.value, int(label)]
+            [record.sample_id, record.patient_id, record.label.value, int(desc.y[i])]
             + [repr(float(v)) for v in vec]
         )
 
-    out = _opt(args, config, "out")
-    if out is None:
-        raise _UsageError("an --out CSV file is required")
     header = ["sample_id", "patient_id", "label", "y"] + [
         f"f{i}" for i in range(width or 0)
     ]
@@ -286,13 +287,11 @@ def _check_leakage(plan: evaluation.FoldPlan) -> None:
 
 def _cmd_train(args, config) -> int:
     manifest = _load_task_manifest(args, config)
+    out = _out_path(args, config, "model file")
     task = _opt(args, config, "task", "nc-c")
     modality = _opt(args, config, "modality", "fused")
     cfg = _pipeline_config(args, config)
     seed = int(_opt(args, config, "seed", 0))
-    out = _opt(args, config, "out")
-    if out is None:
-        raise _UsageError("an --out model file is required")
 
     if modality == "median-spectrum":
         default_pre, default_lv = PLS_DEFAULTS[task]
@@ -342,10 +341,6 @@ def _cmd_cv(args, config) -> int:
     task = _opt(args, config, "task", "nc-c")
     modality = _opt(args, config, "modality", "fused")
     n_sets = int(_opt(args, config, "n_reference_sets", 1))
-    if n_sets not in REFERENCE_SET_COUNTS:
-        raise _UsageError(
-            f"--n-reference-sets must be one of {REFERENCE_SET_COUNTS}"
-        )
     cfg = _pipeline_config(args, config)
     seed = int(_opt(args, config, "seed", 0))
     out = _out_dir(args, config)
@@ -396,6 +391,7 @@ def _cmd_cv(args, config) -> int:
 
 def _cmd_grid(args, config) -> int:
     manifest = _load_task_manifest(args, config)
+    out = _out_path(args, config, "CSV file")
     task = _opt(args, config, "task", "nc-c")
     cfg = _pipeline_config(args, config)
     seed = int(_opt(args, config, "seed", 0))
@@ -417,10 +413,6 @@ def _cmd_grid(args, config) -> int:
         matrices, 2.0 * features.y.astype(np.float64) - 1.0, folds,
         c_grid=c_grid, gamma_grid=gamma_grid, kernels=kernels, jobs=jobs,
     )
-
-    out = _opt(args, config, "out")
-    if out is None:
-        raise _UsageError("an --out CSV file is required")
     svm.write_grid_report(result, out)
     best = result.best
     k_dp, k_rci = best.feature_key
@@ -442,6 +434,7 @@ def _cmd_grid(args, config) -> int:
 
 def _cmd_pls_select(args, config) -> int:
     manifest = _load_task_manifest(args, config)
+    out = _out_path(args, config, "CSV file")
     task = _opt(args, config, "task", "nc-c")
     cfg = _pipeline_config(args, config)
     seed = int(_opt(args, config, "seed", 0))
@@ -469,10 +462,6 @@ def _cmd_pls_select(args, config) -> int:
         lv_values=tuple(range(1, lv_max + 1)),
         n_repeats=n_repeats, seed=seed, jobs=jobs,
     )
-
-    out = _opt(args, config, "out")
-    if out is None:
-        raise _UsageError("an --out CSV file is required")
     plsda.write_selection_report(result, out)
     print(
         f"selected {result.pretreatment} with {result.n_lv} LVs "
@@ -569,7 +558,7 @@ def build_parser() -> _Parser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         p.add_argument("--config", help="JSON file of default flag values")
         p.add_argument("--seed", type=int, help="root random seed (default 0)")
         return p
@@ -639,7 +628,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.add_argument("--task", choices=TASKS)
     p.add_argument("--modality", choices=MODALITIES)
-    p.add_argument("--n-reference-sets", type=int)
+    p.add_argument("--n-reference-sets", type=int, choices=REFERENCE_SET_COUNTS)
     p.add_argument("--kernel", choices=svm.KERNELS)
     p.add_argument("--c", type=float)
     p.add_argument("--gamma", type=float)
@@ -689,6 +678,7 @@ def main(argv=None) -> int:
         if getattr(args, "func", None) is None:
             raise _UsageError(parser.format_usage())
         config = _load_config(args.config) if getattr(args, "config", None) else {}
+        _check_config(args.parser, config)
         return int(args.func(args, config) or 0)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -56,18 +57,32 @@ def prepare_rci(cube, size: int):
     return equalized, mask
 
 
-def median_for(cube) -> spectral.Spectrum:
-    return spectral.median_spectrum(replace(cube, mask=tissue_mask(cube)))
+@dataclass(frozen=True)
+class PreparedSample:
+    """One sample after preprocessing; the images are None when the image
+    routes were skipped."""
+
+    dp: GreyImage | None
+    rci: GreyImage | None
+    mask: np.ndarray            # tissue keep-mask over the cube's pixels
+    median: spectral.Spectrum   # median spectrum over the mask
 
 
-def sample_descriptors(record, config: PipelineConfig):
-    """(dp descriptor matrix, rci descriptor matrix) for one sample."""
-    img = dataio.load_image(record.dp_path)
-    dp = descriptor_matrix(extract(prepare_dp(img, config.dp_size), config.sift))
+def prepare_sample(
+    record, config: PipelineConfig = PipelineConfig(), include_images: bool = True
+) -> PreparedSample:
+    """The one per-sample preparation path: both image routes plus the
+    masked median spectrum. include_images=False loads no pathology image and
+    skips resize and equalization."""
     cube = dataio.load_cube(record.rci_path)
-    rci_img, _ = prepare_rci(cube, config.rci_size)
-    rci = descriptor_matrix(extract(rci_img, config.sift))
-    return dp, rci
+    if include_images:
+        dp = prepare_dp(dataio.load_image(record.dp_path), config.dp_size)
+        rci, mask = prepare_rci(cube, config.rci_size)
+    else:
+        dp = rci = None
+        mask = tissue_mask(cube)
+    median = spectral.median_spectrum(replace(cube, mask=mask))
+    return PreparedSample(dp, rci, mask, median)
 
 
 # --- task handling ----------------------------------------------------------------
@@ -90,6 +105,16 @@ def task_records(manifest: CohortManifest, task: str):
 # --- cohort feature construction ---------------------------------------------------
 
 
+ROUTES = {"dp": ("dp",), "rci": ("rci",), "fused": ("dp", "rci")}
+
+
+def feature_row(histograms, normalize: bool) -> np.ndarray:
+    """One sample's feature vector: its route histograms side by side in
+    ROUTES order, each block normalized on its own; for (dp, rci) this is
+    bovw.fuse."""
+    return np.concatenate([bovw.feature_vector(h, normalize) for h in histograms])
+
+
 @dataclass(frozen=True)
 class CohortDescriptors:
     """Partition-independent per-sample measurements for one task: SIFT
@@ -103,44 +128,61 @@ class CohortDescriptors:
     medians: np.ndarray
     config: PipelineConfig
 
+    def route(self, modality: str) -> tuple:
+        """Descriptor matrix per sample for one image route."""
+        return {"dp": self.dp_descriptors, "rci": self.rci_descriptors}[modality]
+
+    def pool(self, modality: str, rows) -> np.ndarray:
+        """Descriptors of the given rows stacked into one matrix."""
+        table = self.route(modality)
+        return np.concatenate([table[i] for i in rows] or [np.zeros((0, 128))])
+
 
 @dataclass(frozen=True)
 class CohortFeatures:
-    task: str
+    """One reference/fold split of a CohortDescriptors. Dictionaries come
+    from the reference rows; the classification rows are encoded."""
+
+    descriptors: CohortDescriptors
     plan: evaluation.FoldPlan
-    records: tuple              # classification samples only
-    y: np.ndarray               # 0/1 labels for records
-    patient_ids: tuple
-    dp_histograms: tuple        # WordHistogram per record
-    rci_histograms: tuple
-    medians: np.ndarray         # (n, bands) median spectra
-    dictionaries: dict          # {"dp": VisualDictionary, "rci": ...}
-    reference_dp_descriptors: np.ndarray
-    reference_rci_descriptors: np.ndarray
-    classification_dp_descriptors: tuple
-    classification_rci_descriptors: tuple
-    reference_medians: np.ndarray
-    reference_y: np.ndarray
-    config: PipelineConfig
+    histograms: dict    # {"dp": WordHistogram per classification row, "rci": ...}
+
+    @cached_property
+    def _is_reference(self) -> np.ndarray:
+        reference = set(self.plan.reference_patients)
+        samples = self.descriptors.manifest.samples
+        return np.array([r.patient_id in reference for r in samples], dtype=bool)
+
+    @property
+    def reference_rows(self) -> np.ndarray:
+        return np.flatnonzero(self._is_reference)
+
+    @property
+    def classification_rows(self) -> np.ndarray:
+        return np.flatnonzero(~self._is_reference)
+
+    @property
+    def config(self) -> PipelineConfig:
+        return self.descriptors.config
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.descriptors.y[self.classification_rows]
+
+    @property
+    def patient_ids(self) -> tuple:
+        samples = self.descriptors.manifest.samples
+        return tuple(samples[i].patient_id for i in self.classification_rows)
+
+    @property
+    def medians(self) -> np.ndarray:
+        return self.descriptors.medians[self.classification_rows]
 
     def matrix(self, modality: str) -> np.ndarray:
-        cfg = self.config
-        if modality == "dp":
-            return np.array(
-                [bovw.feature_vector(h, cfg.normalize) for h in self.dp_histograms]
-            )
-        if modality == "rci":
-            return np.array(
-                [bovw.feature_vector(h, cfg.normalize) for h in self.rci_histograms]
-            )
-        if modality == "fused":
-            return np.array(
-                [
-                    bovw.fuse(dp, rci, cfg.normalize)
-                    for dp, rci in zip(self.dp_histograms, self.rci_histograms)
-                ]
-            )
-        raise ValueError(f"unknown feature modality {modality!r}")
+        if modality not in ROUTES or not self.histograms:
+            raise ValueError(f"no {modality!r} feature matrix in these features")
+        blocks = [self.histograms[route] for route in ROUTES[modality]]
+        return np.array([feature_row(row, self.config.normalize) for row in zip(*blocks)])
 
 
 def extract_cohort(
@@ -154,23 +196,11 @@ def extract_cohort(
     the two image routes (median-spectrum work only)."""
     records, y = task_records(manifest, task)
     dp_desc, rci_desc, medians = [], [], []
-    empty = np.zeros((0, 128))
     for record in records:
-        cube = dataio.load_cube(record.rci_path)
-        if include_images:
-            img = dataio.load_image(record.dp_path)
-            dp_desc.append(
-                descriptor_matrix(extract(prepare_dp(img, config.dp_size), config.sift))
-            )
-            rci_img, mask = prepare_rci(cube, config.rci_size)
-            rci_desc.append(descriptor_matrix(extract(rci_img, config.sift)))
-        else:
-            dp_desc.append(empty)
-            rci_desc.append(empty)
-            mask = tissue_mask(cube)
-        medians.append(
-            spectral.median_spectrum(replace(cube, mask=mask)).intensities
-        )
+        sample = prepare_sample(record, config, include_images)
+        dp_desc.append(_descriptors(sample.dp, config.sift))
+        rci_desc.append(_descriptors(sample.rci, config.sift))
+        medians.append(sample.median.intensities)
     return CohortDescriptors(
         task=task,
         manifest=CohortManifest(tuple(records), manifest.seed, manifest.root),
@@ -180,6 +210,12 @@ def extract_cohort(
         medians=np.array(medians),
         config=config,
     )
+
+
+def _descriptors(img, params: SiftParams) -> np.ndarray:
+    if img is None:
+        return np.zeros((0, 128))
+    return descriptor_matrix(extract(img, params))
 
 
 def partition_features(
@@ -192,50 +228,24 @@ def partition_features(
         desc.manifest, k=config.folds,
         reference_fraction=config.reference_fraction, seed=seed,
     )
-    reference_patients = set(plan.reference_patients)
-    records = desc.manifest.samples
-
-    is_ref = [r.patient_id in reference_patients for r in records]
-    cls_records = [r for r, flag in zip(records, is_ref) if not flag]
-    cls_rows = [i for i, flag in enumerate(is_ref) if not flag]
-    ref_rows = [i for i, flag in enumerate(is_ref) if flag]
-
-    ref_dp = np.concatenate(
-        [desc.dp_descriptors[i] for i in ref_rows] or [np.zeros((0, 128))]
-    )
-    ref_rci = np.concatenate(
-        [desc.rci_descriptors[i] for i in ref_rows] or [np.zeros((0, 128))]
-    )
+    features = CohortFeatures(desc, plan, histograms={})
     if build_dictionaries:
-        dict_dp = bovw.kmeans(ref_dp, config.k_dp, seed, modality="dp")
-        dict_rci = bovw.kmeans(ref_rci, config.k_rci, seed, modality="rci")
-        dp_hist = tuple(
-            bovw.encode_descriptors(desc.dp_descriptors[i], dict_dp) for i in cls_rows
-        )
-        rci_hist = tuple(
-            bovw.encode_descriptors(desc.rci_descriptors[i], dict_rci) for i in cls_rows
-        )
-        dictionaries = {"dp": dict_dp, "rci": dict_rci}
-    else:
-        dp_hist, rci_hist, dictionaries = (), (), {}
+        features = replace(features, histograms={
+            "dp": route_histograms(features, "dp", config.k_dp, seed),
+            "rci": route_histograms(features, "rci", config.k_rci, seed),
+        })
+    return features
 
-    return CohortFeatures(
-        task=desc.task,
-        plan=plan,
-        records=tuple(cls_records),
-        y=desc.y[cls_rows],
-        patient_ids=tuple(r.patient_id for r in cls_records),
-        dp_histograms=dp_hist,
-        rci_histograms=rci_hist,
-        medians=desc.medians[cls_rows],
-        dictionaries=dictionaries,
-        reference_dp_descriptors=ref_dp,
-        reference_rci_descriptors=ref_rci,
-        classification_dp_descriptors=tuple(desc.dp_descriptors[i] for i in cls_rows),
-        classification_rci_descriptors=tuple(desc.rci_descriptors[i] for i in cls_rows),
-        reference_medians=desc.medians[ref_rows],
-        reference_y=desc.y[ref_rows],
-        config=config,
+
+def route_histograms(features: CohortFeatures, modality: str, k: int, seed: int) -> tuple:
+    """Build a size-k dictionary from the reference rows' descriptors and
+    encode each classification row against it."""
+    desc = features.descriptors
+    pool = desc.pool(modality, features.reference_rows)
+    dictionary = bovw.kmeans(pool, k, seed, modality=modality)
+    table = desc.route(modality)
+    return tuple(
+        bovw.encode_descriptors(table[i], dictionary) for i in features.classification_rows
     )
 
 
@@ -306,18 +316,15 @@ def run_pls_cv(
     include_reference: bool = True,
 ) -> evaluation.EvalReport:
     """Median-spectrum route; reference medians join every training side."""
-    if include_reference and len(features.reference_medians):
-        X = np.vstack([features.medians, features.reference_medians])
-        y = np.concatenate([features.y, features.reference_y])
-        pids = list(features.patient_ids) + [
-            f"__reference_{i}" for i in range(len(features.reference_y))
-        ]
-        extra = np.arange(len(features.y), len(y))
-    else:
-        X, y, pids, extra = features.medians, features.y, features.patient_ids, None
+    cls = features.classification_rows
+    ref = features.reference_rows if include_reference else features.reference_rows[:0]
+    rows = np.concatenate([cls, ref])
+    pids = list(features.patient_ids) + [f"__reference_{i}" for i in range(len(ref))]
+    extra = np.arange(len(cls), len(rows)) if len(ref) else None
     fit, score = pls_fold_functions(pretreatment, n_lv)
+    desc = features.descriptors
     return evaluation.cross_validate(
-        X, y, pids, features.plan, fit, score,
+        desc.medians[rows], desc.y[rows], pids, features.plan, fit, score,
         positive_label=1, extra_train_indices=extra,
     )
 
@@ -325,30 +332,16 @@ def run_pls_cv(
 def grid_feature_sets(features: CohortFeatures, dp_sizes, rci_sizes, seed: int) -> dict:
     """Fused feature matrix per dictionary-size pair, keyed (k_dp, k_rci) in
     ascending enumeration order, reusing the cached descriptors."""
-    cfg = features.config
-    dp_dicts = {
-        k: bovw.kmeans(features.reference_dp_descriptors, k, seed, modality="dp")
-        for k in dp_sizes
+    normalize = features.config.normalize
+    dp_hists = {k: route_histograms(features, "dp", k, seed) for k in sorted(set(dp_sizes))}
+    rci_hists = {k: route_histograms(features, "rci", k, seed) for k in sorted(set(rci_sizes))}
+    return {
+        (k_dp, k_rci): np.array(
+            [feature_row(pair, normalize) for pair in zip(dp_hists[k_dp], rci_hists[k_rci])]
+        )
+        for k_dp in dp_hists
+        for k_rci in rci_hists
     }
-    rci_dicts = {
-        k: bovw.kmeans(features.reference_rci_descriptors, k, seed, modality="rci")
-        for k in rci_sizes
-    }
-    out = {}
-    for k_dp in sorted(dp_sizes):
-        dp_hist = [
-            bovw.encode_descriptors(d, dp_dicts[k_dp])
-            for d in features.classification_dp_descriptors
-        ]
-        for k_rci in sorted(rci_sizes):
-            rci_hist = [
-                bovw.encode_descriptors(d, rci_dicts[k_rci])
-                for d in features.classification_rci_descriptors
-            ]
-            out[(k_dp, k_rci)] = np.array(
-                [bovw.fuse(a, b, cfg.normalize) for a, b in zip(dp_hist, rci_hist)]
-            )
-    return out
 
 
 def plan_fold_indices(features: CohortFeatures):

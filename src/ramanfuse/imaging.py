@@ -20,6 +20,7 @@ from .errors import (
 GREY_COEFFS = (0.299, 0.587, 0.114)
 RESIZE_DEFAULT = 500
 MIN_REGION_PIXELS = 10
+BACKGROUND_CANDIDATES = 3  # leading PCs tried for the background split
 
 
 def _round_u8(x: np.ndarray) -> np.ndarray:
@@ -100,44 +101,6 @@ def otsu_threshold(values: np.ndarray) -> float:
     ties = np.flatnonzero(sigma_b == sigma_b.max())
     k = int(ties[(len(ties) - 1) // 2])
     return float(edges[k + 1])
-
-
-def threshold_mask(
-    score_image: np.ndarray,
-    method: str = "otsu",
-    threshold: float | None = None,
-    cube: HyperspectralCube | None = None,
-    invert: bool = False,
-) -> np.ndarray:
-    """Split a score image into a boolean mask.
-
-    method "otsu" picks the threshold automatically; "manual" uses the given
-    threshold. When a cube is supplied, polarity is chosen so the masked-in
-    side has the larger mean spectral intensity (tissue scatters more than
-    substrate); otherwise the above-threshold side is kept. ``invert`` flips
-    the result either way.
-    """
-    scores = np.asarray(score_image, dtype=np.float64)
-    if method == "otsu":
-        t = otsu_threshold(scores)
-    elif method == "manual":
-        if threshold is None:
-            raise ValueError("manual thresholding needs a threshold")
-        t = float(threshold)
-    else:
-        raise ValueError(f"unknown threshold method {method!r}")
-
-    mask = scores > t
-    if cube is not None:
-        if cube.data.shape[:2] != scores.shape:
-            raise DimMismatch("score image does not match cube layout")
-        intensity = cube.data.mean(axis=2)
-        if mask.any() and (~mask).any():
-            if intensity[~mask].mean() > intensity[mask].mean():
-                mask = ~mask
-    if invert:
-        mask = ~mask
-    return mask
 
 
 # --- connected regions ------------------------------------------------------
@@ -304,33 +267,20 @@ class BackgroundResult:
     threshold: float
 
 
-def background_mask(
-    cube: HyperspectralCube,
-    n_candidates: int = 3,
-    component: int | None = None,
-    invert: bool = False,
-) -> BackgroundResult:
+def background_mask(cube: HyperspectralCube) -> BackgroundResult:
     """Background/tissue split from a PC score image.
 
-    Component choice is automated: among the first n_candidates PCs, pick
-    the one whose Otsu split best separates the per-pixel mean intensity
-    (between-class variance), then keep the brighter side. ``component``
-    forces a specific PC; ``invert`` flips polarity.
+    Component choice is automated: among the first BACKGROUND_CANDIDATES
+    PCs, pick the one whose Otsu split best separates the per-pixel mean
+    intensity (between-class variance), then keep the brighter side.
     """
     n_pix = int(cube.mask.sum())
-    k = min(n_candidates, cube.data.shape[2], max(n_pix - 1, 1))
+    k = min(BACKGROUND_CANDIDATES, cube.data.shape[2], max(n_pix - 1, 1))
     pca = pca_scores(cube, max(k, 1))
     intensity = cube.data.mean(axis=2)
 
-    if component is not None:
-        if not 0 <= component < pca.n_components:
-            raise ValueError(f"component must be in 0..{pca.n_components - 1}")
-        candidates = [component]
-    else:
-        candidates = list(range(pca.n_components))
-
     best = None
-    for c in candidates:
+    for c in range(pca.n_components):
         scores = pca.score_images[c][cube.mask]
         try:
             t = otsu_threshold(scores)
@@ -354,6 +304,4 @@ def background_mask(
     other = cube.mask & ~mask
     if mask.any() and other.any() and intensity[other].mean() > intensity[mask].mean():
         mask = other
-    if invert:
-        mask = cube.mask & ~mask
     return BackgroundResult(mask, c, t)

@@ -7,18 +7,28 @@ from ramanfuse.bovw import (
     RCI_DICTIONARY_SIZES,
     VisualDictionary,
     WordHistogram,
-    build_dictionary,
-    encode,
+    encode_descriptors,
     feature_vector,
     fuse,
     inertia,
     kmeans,
-    quantize,
 )
 from ramanfuse.dataio import GreyImage
 from ramanfuse.errors import ModalityMismatch, TooFewDescriptors
+from ramanfuse.sift import descriptor_matrix, extract
 
 from test_sift import blob_field
+
+
+def quantize(descriptor, dictionary):
+    """Visual word of one descriptor: the only bin its histogram fills."""
+    counts = encode_descriptors(descriptor, dictionary).counts
+    assert counts.sum() == 1
+    return int(np.argmax(counts))
+
+
+def encode(img, dictionary):
+    return encode_descriptors(descriptor_matrix(extract(img)), dictionary)
 
 
 class TestKmeans:
@@ -125,8 +135,6 @@ class TestQuantize:
 
 class TestEncode:
     def test_count_conservation(self):
-        from ramanfuse.sift import extract
-
         img = blob_field(np.random.default_rng(9))
         n = len(extract(img))
         assert n > 0
@@ -142,8 +150,6 @@ class TestEncode:
         assert len(hist.counts) == 5
 
     def test_side_by_side_duplication_doubles_counts(self):
-        from ramanfuse.sift import descriptor_matrix, extract
-
         # both canvases give each copy identical flat surroundings; bare
         # hstack would instead grant edge keypoints extra window room
         texture = blob_field(np.random.default_rng(12)).pixels
@@ -170,16 +176,23 @@ class TestEncode:
 
 
 class TestBuildDictionary:
+    """Dictionaries are k-means over descriptors pooled across reference
+    images, as partition_features builds them."""
+
+    @staticmethod
+    def pooled(imgs):
+        return np.concatenate([descriptor_matrix(extract(img)) for img in imgs])
+
     def test_pools_reference_images(self):
         rng = np.random.default_rng(16)
         imgs = [blob_field(rng, size=96) for _ in range(3)]
-        d = build_dictionary(imgs, k=10, seed=3, modality="dp")
+        d = kmeans(self.pooled(imgs), k=10, seed=3, modality="dp")
         assert d.k == 10 and d.modality == "dp"
 
     def test_blank_reference_rejected(self):
         blank = GreyImage(np.full((32, 32), 10, dtype=np.uint8))
         with pytest.raises(TooFewDescriptors):
-            build_dictionary([blank], k=5, seed=1)
+            kmeans(self.pooled([blank]), k=5, seed=1)
 
 
 class TestFusion:

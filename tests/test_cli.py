@@ -4,9 +4,10 @@ seeded runs."""
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from ramanfuse import cli, dataio, evaluation, spectral, svm
+from ramanfuse import bovw, cli, dataio, evaluation, experiments, spectral, svm
 from ramanfuse.errors import NumericalError
 
 COHORT_FLAGS = [
@@ -50,6 +51,16 @@ def dictionaries(manifest, tmp_path_factory):
         "--modality", "rci", "--k", "6", "--out", str(rci), *PIPE_FLAGS,
     ]) == 0
     return dp, rci
+
+
+@pytest.fixture
+def no_cubes(monkeypatch):
+    """Fail the test if any Raman cube gets loaded."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cube was loaded")
+
+    monkeypatch.setattr(dataio, "load_cube", forbidden)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +125,16 @@ class TestExitCodes:
             "--out", str(tmp_path / "out"),
         ]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["build-dict", "encode", "train", "grid", "pls-select"]
+    )
+    def test_missing_out_fails_before_any_cube_is_loaded(
+        self, manifest, no_cubes, capsys, command
+    ):
+        extra = ["--modality", "dp"] if command == "build-dict" else []
+        assert cli.main([command, "--manifest", manifest, *extra]) == 1
+        assert "--out" in capsys.readouterr().err
 
     def test_numerical_failure_maps_to_exit_3(self, monkeypatch, tmp_path):
         def boom(args, config):
@@ -186,6 +207,36 @@ class TestDictionaryCommands:
         ]
         assert len(rows) == 71
         assert {row[3] for row in rows[1:]} == {"0", "1"}
+
+    def test_cli_dictionaries_and_rows_match_partition_features(
+        self, manifest, dictionaries, tmp_path
+    ):
+        dp, rci = dictionaries
+        out = tmp_path / "fused.csv"
+        assert cli.main([
+            "encode", "--manifest", manifest, "--task", "nc-c",
+            "--modality", "fused", "--dp-dict", str(dp), "--rci-dict", str(rci),
+            "--out", str(out), *PIPE_FLAGS,
+        ]) == 0
+        config = experiments.PipelineConfig(dp_size=96, rci_size=64, k_dp=12, k_rci=6)
+        desc = experiments.extract_cohort(dataio.load_manifest(manifest), "nc-c", config)
+        features = experiments.partition_features(desc, seed=0)
+        for path, modality, k in ((dp, "dp", 12), (rci, "rci", 6)):
+            pool = desc.pool(modality, features.reference_rows)
+            want = bovw.kmeans(pool, k, 0, modality=modality)
+            assert np.array_equal(dataio.load_model(path).centroids, want.centroids)
+        rows = read_rows(out)[1:]
+        got = np.array([[float(v) for v in rows[i][4:]] for i in features.classification_rows])
+        assert np.array_equal(got, features.matrix("fused"))
+
+    def test_encode_with_a_dictionary_of_the_other_route_is_a_data_error(
+        self, manifest, dictionaries, no_cubes, tmp_path
+    ):
+        dp, rci = dictionaries
+        assert cli.main([
+            "encode", "--manifest", manifest, "--modality", "dp",
+            "--dp-dict", str(rci), "--out", str(tmp_path / "x.csv"),
+        ]) == 2
 
     def test_encode_without_needed_dictionary_is_a_usage_error(
         self, manifest, dictionaries, tmp_path
@@ -280,6 +331,51 @@ class TestCrossValidation:
             "--modality", "dp", "--out", str(out), "--seed", "0", *PIPE_FLAGS,
         ]) == 0
         assert read_rows(out / "summary.csv")[1][1] == "dp"
+
+
+class TestConfigValidation:
+    def write(self, tmp_path, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv", [["cv"], ["train", "--modality", "median-spectrum"]], ids=["cv", "train"]
+    )
+    def test_unknown_task_is_a_one_line_usage_error(
+        self, manifest, tmp_path, no_cubes, capsys, argv
+    ):
+        cfg = self.write(tmp_path, {"task": "bogus"})
+        assert cli.main([
+            *argv, "--manifest", manifest, "--config", cfg, "--out", str(tmp_path / "x"),
+        ]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "task='bogus'" in err[0] and "--task" in err[0]
+
+    def test_unknown_modality_stops_before_extraction(
+        self, manifest, tmp_path, no_cubes, capsys
+    ):
+        cfg = self.write(tmp_path, {"modality": "bogus"})
+        assert cli.main([
+            "cv", "--manifest", manifest, "--config", cfg, "--out", str(tmp_path / "x"),
+        ]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("doc", [{"k-dp": "many"}, {"seed": 1.5}, {"c": [1, 2]}])
+    def test_value_of_the_wrong_type_is_a_usage_error(
+        self, manifest, tmp_path, no_cubes, doc
+    ):
+        cfg = self.write(tmp_path, doc)
+        assert cli.main([
+            "cv", "--manifest", manifest, "--config", cfg, "--out", str(tmp_path / "x"),
+        ]) == 1
+
+    def test_keys_of_other_subcommands_are_ignored(self, tmp_path):
+        cfg = self.write(tmp_path, {"task": "bogus", "modality": 7})
+        assert cli.main([
+            "synth", "--config", cfg, "--out", str(tmp_path / "c"), "--n-patients", "2",
+            "--n-samples", "4", "--image-size", "32", "--cube-size", "8",
+        ]) == 0
 
 
 class TestGrid:

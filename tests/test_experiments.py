@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ramanfuse import dataio, experiments, spectral, svm, synth
+from ramanfuse import bovw, dataio, experiments, spectral, svm, synth
 
 COHORT = dict(n_patients=12, n_samples=70, dp_size=96, rci_size=24, n_bands=32)
 CONFIG = experiments.PipelineConfig(dp_size=96, rci_size=64, k_dp=12, k_rci=6)
@@ -52,16 +52,41 @@ class TestPreparation:
         assert mask.shape == (first_cube.height, first_cube.width)
         assert np.array_equal(mask, experiments.tissue_mask(first_cube))
 
-    def test_median_uses_the_tissue_mask(self, first_cube):
-        got = experiments.median_for(first_cube)
+    def test_median_uses_the_tissue_mask(self, cohort, first_cube):
+        got = experiments.prepare_sample(cohort.samples[0], CONFIG).median
         masked = replace(first_cube, mask=experiments.tissue_mask(first_cube))
         expected = spectral.median_spectrum(masked)
         assert np.array_equal(got.intensities, expected.intensities)
 
-    def test_sample_descriptors_shapes(self, cohort):
-        dp, rci = experiments.sample_descriptors(cohort.samples[0], CONFIG)
+    def test_sample_descriptors_shapes(self, descriptors):
+        dp, rci = descriptors.dp_descriptors[0], descriptors.rci_descriptors[0]
         assert dp.ndim == 2 and dp.shape[1] == 128 and len(dp) >= 1
         assert rci.ndim == 2 and rci.shape[1] == 128 and len(rci) >= 1
+
+    def test_prepared_sample_matches_the_route_functions(self, cohort, first_cube):
+        record = cohort.samples[0]
+        sample = experiments.prepare_sample(record, CONFIG)
+        dp = experiments.prepare_dp(dataio.load_image(record.dp_path), CONFIG.dp_size)
+        rci, mask = experiments.prepare_rci(first_cube, CONFIG.rci_size)
+        assert np.array_equal(sample.dp.pixels, dp.pixels)
+        assert np.array_equal(sample.rci.pixels, rci.pixels)
+        assert np.array_equal(sample.mask, mask)
+
+    def test_without_images_nothing_is_resized_or_equalized(
+        self, cohort, monkeypatch
+    ):
+        full = experiments.prepare_sample(cohort.samples[0], CONFIG)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("image work with include_images=False")
+
+        for module, name in ((dataio, "load_image"), (experiments.imaging, "resize_cubic"),
+                             (experiments.imaging, "histogram_equalize")):
+            monkeypatch.setattr(module, name, forbidden)
+        light = experiments.prepare_sample(cohort.samples[0], CONFIG, include_images=False)
+        assert light.dp is None and light.rci is None
+        assert np.array_equal(light.mask, full.mask)
+        assert np.array_equal(light.median.intensities, full.median.intensities)
 
 
 class TestTaskRecords:
@@ -104,8 +129,8 @@ class TestTwoStageFeatures:
         assert all(d.shape == (0, 128) for d in light.rci_descriptors)
 
     def test_partition_is_complete_and_leak_free(self, features, descriptors):
-        n_cls = len(features.records)
-        n_ref = len(features.reference_y)
+        n_cls = len(features.y)
+        n_ref = len(features.reference_rows)
         assert n_cls + n_ref == len(descriptors.y)
         reference = set(features.plan.reference_patients)
         assert reference
@@ -120,11 +145,22 @@ class TestTwoStageFeatures:
             for i, r in enumerate(descriptors.manifest.samples)
             if r.patient_id in reference
         ]
+        assert list(features.reference_rows) == ref_rows
         want_dp = sum(len(descriptors.dp_descriptors[i]) for i in ref_rows)
-        assert len(features.reference_dp_descriptors) == want_dp
+        assert len(descriptors.pool("dp", features.reference_rows)) == want_dp
+
+    def test_classification_views_are_row_selections(self, features, descriptors):
+        rows = features.classification_rows
+        samples = descriptors.manifest.samples
+        assert np.array_equal(features.y, descriptors.y[rows])
+        assert np.array_equal(features.medians, descriptors.medians[rows])
+        assert features.patient_ids == tuple(samples[i].patient_id for i in rows)
+        assert sorted(rows.tolist() + features.reference_rows.tolist()) == list(
+            range(len(samples))
+        )
 
     def test_matrix_shapes_per_modality(self, features):
-        n = len(features.records)
+        n = len(features.y)
         assert features.matrix("dp").shape == (n, CONFIG.k_dp)
         assert features.matrix("rci").shape == (n, CONFIG.k_rci)
         assert features.matrix("fused").shape == (n, CONFIG.k_dp + CONFIG.k_rci)
@@ -133,9 +169,19 @@ class TestTwoStageFeatures:
         stacked = np.hstack([features.matrix("dp"), features.matrix("rci")])
         assert np.allclose(features.matrix("fused"), stacked)
 
+    def test_fused_rows_are_bovw_fusion(self, features):
+        dp, rci = features.histograms["dp"], features.histograms["rci"]
+        want = [bovw.fuse(a, b, CONFIG.normalize) for a, b in zip(dp, rci)]
+        assert np.array_equal(features.matrix("fused"), np.array(want))
+
     def test_unknown_modality_rejected(self, features):
         with pytest.raises(ValueError):
             features.matrix("stereo")
+
+    def test_no_matrix_without_dictionaries(self, descriptors):
+        bare = experiments.partition_features(descriptors, seed=0, build_dictionaries=False)
+        with pytest.raises(ValueError):
+            bare.matrix("fused")
 
     def test_one_step_builder_equals_two_stages(self, cohort, features):
         combined = experiments.build_cohort_features(cohort, "nc-c", CONFIG, seed=0)
@@ -151,7 +197,7 @@ class TestFoldIndices:
     def test_fold_indices_partition_the_rows(self, features):
         folds = experiments.plan_fold_indices(features)
         assert len(folds) == CONFIG.folds
-        n = len(features.records)
+        n = len(features.y)
         seen = np.zeros(n, dtype=int)
         for train, test in folds:
             assert len(np.intersect1d(train, test)) == 0
@@ -197,12 +243,9 @@ class TestRoutes:
         assert len(report.fold_aucs) == CONFIG.folds
 
     def test_pls_cv_reference_toggle_is_a_noop_without_reference(self, features):
-        bands = features.medians.shape[1]
-        bare = replace(
-            features,
-            reference_medians=np.zeros((0, bands)),
-            reference_y=np.zeros(0, dtype=int),
-        )
+        assert len(features.reference_rows)
+        bare = replace(features, plan=replace(features.plan, reference_patients=()))
+        assert not len(bare.reference_rows)
         pre = spectral.parse_pretreatment("snv")
         with_flag = experiments.run_pls_cv(bare, pre, 3, include_reference=True)
         without = experiments.run_pls_cv(bare, pre, 3, include_reference=False)
@@ -213,12 +256,19 @@ class TestGridFeatureSets:
     def test_keys_shapes_and_determinism(self, features):
         sets = experiments.grid_feature_sets(features, [4, 8], [2, 3], seed=0)
         assert set(sets) == {(4, 2), (4, 3), (8, 2), (8, 3)}
-        n = len(features.records)
+        n = len(features.y)
         for (k_dp, k_rci), matrix in sets.items():
             assert matrix.shape == (n, k_dp + k_rci)
         again = experiments.grid_feature_sets(features, [4, 8], [2, 3], seed=0)
         for key in sets:
             assert np.array_equal(sets[key], again[key])
+
+    def test_configured_sizes_reproduce_the_fused_matrix(self, features):
+        sets = experiments.grid_feature_sets(
+            features, [CONFIG.k_dp, 4], [CONFIG.k_rci], seed=0
+        )
+        assert list(sets) == [(4, CONFIG.k_rci), (CONFIG.k_dp, CONFIG.k_rci)]
+        assert np.array_equal(sets[(CONFIG.k_dp, CONFIG.k_rci)], features.matrix("fused"))
 
 
 class TestFusionBenchmark:

@@ -21,7 +21,6 @@ from ramanfuse.imaging import (
     remove_small_regions,
     resize_cubic,
     rgb_to_grey,
-    threshold_mask,
 )
 
 
@@ -135,25 +134,18 @@ class TestThresholding:
         with pytest.raises(ConstantImage):
             otsu_threshold(np.full((4, 4), 2.0))
 
-    def test_manual_threshold(self):
-        scores = np.array([[-2.0, -1.0], [1.0, 2.0]])
-        mask = threshold_mask(scores, "manual", threshold=0.0)
-        assert np.array_equal(mask, scores > 0)
-
     def test_polarity_follows_intensity(self):
-        scores = np.array([[-1.0, -1.0], [1.0, 1.0]])
-        data = np.zeros((2, 2, 3))
-        data[0] = 50.0   # negative-score side is the bright one
-        data[1] = 1.0
-        cube = HyperspectralCube(np.arange(3.0), data)
-        mask = threshold_mask(scores, "manual", threshold=0.0, cube=cube)
-        assert np.array_equal(mask, scores < 0)
-
-    def test_invert_flag(self):
-        scores = np.array([[-1.0, 1.0]])
-        a = threshold_mask(scores, "manual", threshold=0.0)
-        b = threshold_mask(scores, "manual", threshold=0.0, invert=True)
-        assert np.array_equal(a, ~b)
+        # Row 0 is brighter on average, but its first-PC score is negative:
+        # the loading's largest entry (band 0, where row 1 is high) is made
+        # positive, so the bright side falls below the Otsu threshold.
+        data = np.zeros((2, 2, 20))
+        data[0, :, 1:] = 5.0    # mean 4.75
+        data[1, :, 0] = 60.0    # mean 3.0
+        cube = HyperspectralCube(np.arange(20.0), data)
+        res = background_mask(cube)
+        scores = pca_scores(cube, 1).score_images[res.component]
+        assert np.array_equal(res.mask, scores < res.threshold)
+        assert np.array_equal(res.mask, np.array([[True, True], [False, False]]))
 
 
 class TestRegions:
@@ -393,13 +385,8 @@ class TestBackgroundMask:
         agreement = (res.mask == blob).mean()
         assert agreement > 0.97
 
-    def test_invert_gives_complement(self):
+    def test_mask_is_the_strict_above_threshold_side(self):
         cube, _ = self.make_tissue_cube(np.random.default_rng(13))
-        a = background_mask(cube)
-        b = background_mask(cube, invert=True)
-        assert np.array_equal(a.mask, ~b.mask)
-
-    def test_forced_component_used(self):
-        cube, _ = self.make_tissue_cube(np.random.default_rng(14))
-        res = background_mask(cube, component=1)
-        assert res.component == 1
+        res = background_mask(cube)
+        scores = pca_scores(cube, res.component + 1).score_images[res.component]
+        assert np.array_equal(res.mask, scores > res.threshold)
