@@ -193,7 +193,7 @@ def _cmd_median_spectrum(args, config) -> int:
     out = _out_dir(args, config)
     updated = []
     for record in manifest.samples:
-        sample = experiments.prepare_sample(record, include_images=False)
+        sample = experiments.prepare_sample(record, routes=())
         path = out / f"{record.sample_id}_median.csv"
         spectral.save_spectrum(sample.median, path)
         updated.append(replace(record, median_spectrum_path=path))
@@ -223,7 +223,7 @@ def _cmd_build_dict(args, config) -> int:
     ref_manifest = dataio.CohortManifest(
         tuple(r for r in records if r.patient_id in reference), manifest.seed, manifest.root
     )
-    desc = experiments.extract_cohort(ref_manifest, task, cfg)
+    desc = experiments.extract_cohort(ref_manifest, task, cfg, routes=(modality,))
     pooled = desc.pool(modality, range(len(desc.y)))
     dictionary = bovw.kmeans(pooled, k, seed, modality=modality)
     dataio.save_model(dictionary, out)
@@ -299,7 +299,7 @@ def _cmd_train(args, config) -> int:
             str(_opt(args, config, "pretreatment", default_pre))
         )
         n_lv = int(_opt(args, config, "n_lv", default_lv))
-        desc = experiments.extract_cohort(manifest, task, cfg, include_images=False)
+        desc = experiments.extract_cohort(manifest, task, cfg, routes=())
         features = experiments.partition_features(desc, seed, build_dictionaries=False)
         _check_leakage(features.plan)
         fit, _ = experiments.pls_fold_functions(pre, n_lv)
@@ -351,9 +351,8 @@ def _cmd_cv(args, config) -> int:
     )
     n_lv = int(_opt(args, config, "n_lv", default_lv))
 
-    desc = experiments.extract_cohort(
-        manifest, task, cfg, include_images=modality != "median-spectrum"
-    )
+    routes = () if modality == "median-spectrum" else experiments.IMAGE_ROUTES
+    desc = experiments.extract_cohort(manifest, task, cfg, routes=routes)
     sens, spec_, aucs = [], [], []
     for r in range(n_sets):
         set_seed = seed if n_sets == 1 else derive_seed(seed, "reference-set", r)
@@ -404,6 +403,10 @@ def _cmd_grid(args, config) -> int:
     if isinstance(kernels_value, str):
         kernels_value = kernels_value.split(",")
     kernels = [str(k) for k in kernels_value if k]
+    # Rejects an empty or invalid grid before any cube is loaded.
+    svm.enumerate_grid(
+        [(k_dp, k_rci) for k_dp in dp_sizes for k_rci in rci_sizes], c_grid, gamma_grid, kernels
+    )
 
     features = experiments.build_cohort_features(manifest, task, cfg, seed)
     _check_leakage(features.plan)
@@ -442,7 +445,7 @@ def _cmd_pls_select(args, config) -> int:
     n_repeats = int(_opt(args, config, "n_repeats", 200))
     lv_max = int(_opt(args, config, "lv_max", max(plsda.DEFAULT_LV_RANGE)))
 
-    desc = experiments.extract_cohort(manifest, task, cfg, include_images=False)
+    desc = experiments.extract_cohort(manifest, task, cfg, routes=())
     menu_value = _opt(args, config, "pretreatments")
     if menu_value is not None:
         if isinstance(menu_value, str):

@@ -68,19 +68,26 @@ class PreparedSample:
     median: spectral.Spectrum   # median spectrum over the mask
 
 
+IMAGE_ROUTES = ("dp", "rci")
+
+
 def prepare_sample(
-    record, config: PipelineConfig = PipelineConfig(), include_images: bool = True
+    record, config: PipelineConfig = PipelineConfig(), routes=IMAGE_ROUTES
 ) -> PreparedSample:
-    """The one per-sample preparation path: both image routes plus the
-    masked median spectrum. include_images=False loads no pathology image and
-    skips resize and equalization."""
+    """The one per-sample preparation path: the image routes named in
+    `routes` plus the masked median spectrum. Without "dp" no pathology
+    image is loaded; without "rci" the mean image is not resized or
+    equalized."""
+    if not set(routes) <= set(IMAGE_ROUTES):
+        raise ValueError(f"image routes must be among {IMAGE_ROUTES}, got {tuple(routes)}")
     cube = dataio.load_cube(record.rci_path)
-    if include_images:
+    dp = None
+    if "dp" in routes:
         dp = prepare_dp(dataio.load_image(record.dp_path), config.dp_size)
+    if "rci" in routes:
         rci, mask = prepare_rci(cube, config.rci_size)
     else:
-        dp = rci = None
-        mask = tissue_mask(cube)
+        rci, mask = None, tissue_mask(cube)
     median = spectral.median_spectrum(replace(cube, mask=mask))
     return PreparedSample(dp, rci, mask, median)
 
@@ -105,7 +112,7 @@ def task_records(manifest: CohortManifest, task: str):
 # --- cohort feature construction ---------------------------------------------------
 
 
-ROUTES = {"dp": ("dp",), "rci": ("rci",), "fused": ("dp", "rci")}
+ROUTES = {"dp": ("dp",), "rci": ("rci",), "fused": IMAGE_ROUTES}
 
 
 def feature_row(histograms, normalize: bool) -> np.ndarray:
@@ -189,15 +196,16 @@ def extract_cohort(
     manifest: CohortManifest,
     task: str,
     config: PipelineConfig = PipelineConfig(),
-    include_images: bool = True,
+    routes=IMAGE_ROUTES,
 ) -> CohortDescriptors:
     """The heavy, partition-free stage: preprocess every task sample once
-    and keep its descriptors and median spectrum. include_images=False skips
-    the two image routes (median-spectrum work only)."""
+    and keep its descriptors and median spectrum. An image route left out
+    of `routes` gets no descriptors (empty matrices); routes=() is
+    median-spectrum work only."""
     records, y = task_records(manifest, task)
     dp_desc, rci_desc, medians = [], [], []
     for record in records:
-        sample = prepare_sample(record, config, include_images)
+        sample = prepare_sample(record, config, routes)
         dp_desc.append(_descriptors(sample.dp, config.sift))
         rci_desc.append(_descriptors(sample.rci, config.sift))
         medians.append(sample.median.intensities)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from .errors import (
     RankDeficient,
     SingleClass,
 )
+from .parallel import parallel_map
 from .seeds import rng_for
 
 # Operating points used for the two clinical tasks (kept as configuration,
@@ -183,9 +183,9 @@ def _split_indices(rng, y, train_count, max_tries=1000):
     )
 
 
-def _repeat_metrics(args):
+def _repeat_metrics(shared, repeat):
     """One split evaluated for every (pretreatment, LV count) cell."""
-    repeat, X, y, menu, lv_values, seed, train_count = args
+    X, y, menu, lv_values, seed, train_count = shared
     rng = rng_for(seed, "pls-select", repeat)
     train, test = _split_indices(rng, y, train_count)
     lv_max = max(lv_values)
@@ -218,7 +218,7 @@ def _repeat_metrics(args):
             spec_ = float((~pred & neg).sum() / neg.sum())
             acc = float((pred == pos).mean())
             cells[m_idx, l_idx] = (sens * spec_, acc, sens, spec_)
-    return repeat, cells
+    return cells
 
 
 def select_pls_model(
@@ -248,17 +248,8 @@ def select_pls_model(
     if train_count < 2 or len(y) - train_count < 2:
         raise InsufficientClassCoverage("too few samples for the requested split")
 
-    tasks = [
-        (repeat, X, y, menu, lv_values, seed, train_count)
-        for repeat in range(n_repeats)
-    ]
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
-            raw = pool.map(_repeat_metrics, tasks, chunksize=8)
-    else:
-        raw = [_repeat_metrics(t) for t in tasks]
-    raw.sort(key=lambda r: r[0])
-    means = np.mean([cells for _, cells in raw], axis=0)
+    shared = (X, y, menu, lv_values, seed, train_count)
+    means = np.mean(parallel_map(_repeat_metrics, shared, range(n_repeats), jobs), axis=0)
 
     rows = []
     best = None

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from multiprocessing import Pool
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import CalibrationFailed, DegenerateKernel, DimMismatch, SingleClass
+from .parallel import parallel_map
 
 C_GRID = tuple(2.0**p for p in range(-5, 16))        # 21 values
 GAMMA_GRID = tuple(2.0**p for p in range(-15, 4))    # 19 values
@@ -36,19 +36,25 @@ class SvmConfig:
             raise ValueError("gamma must be positive for rbf")
 
 
-def _kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float) -> np.ndarray:
-    if kernel == "linear":
-        k = a @ b.T
-    else:
-        d2 = (
-            (a**2).sum(axis=1)[:, None]
-            - 2.0 * (a @ b.T)
-            + (b**2).sum(axis=1)[None, :]
-        )
-        k = np.exp(-gamma * np.maximum(d2, 0.0))
+def _sq_distances(a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b, given
+    ab = a @ b.T."""
+    return (a**2).sum(axis=1)[:, None] - 2.0 * ab + (b**2).sum(axis=1)[None, :]
+
+
+def _rbf(d2: np.ndarray, gamma: float) -> np.ndarray:
+    return np.exp(-gamma * np.maximum(d2, 0.0))
+
+
+def _check_finite(k: np.ndarray) -> np.ndarray:
     if not np.isfinite(k).all():
         raise DegenerateKernel("kernel matrix contains non-finite values")
     return k
+
+
+def _kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float) -> np.ndarray:
+    ab = a @ b.T
+    return _check_finite(ab if kernel == "linear" else _rbf(_sq_distances(a, b, ab), gamma))
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,10 @@ class SvmModel:
     C: float
     platt_a: float | None = None
     platt_b: float | None = None
+    # Solver report of the fit that made the model: SMO steps taken and the
+    # final KKT gap (above the fit's tol when max_iter ran out). Not saved.
+    n_iter: int | None = field(default=None, compare=False)
+    kkt_gap: float | None = field(default=None, compare=False)
 
     def to_payload(self) -> dict:
         return {
@@ -88,11 +98,21 @@ class SvmModel:
         )
 
 
-def train(X: np.ndarray, y: np.ndarray, cfg: SvmConfig = SvmConfig()) -> SvmModel:
+def train(
+    X: np.ndarray,
+    y: np.ndarray,
+    cfg: SvmConfig = SvmConfig(),
+    *,
+    gram: np.ndarray | None = None,
+) -> SvmModel:
     """SMO on the dual problem, maximal-violating-pair working set.
 
-    Gradient of the dual is kept incrementally; iteration stops when the
-    KKT violation gap m(alpha) - M(alpha) drops below cfg.tol.
+    The dual gradient is kept incrementally as g = -y * grad; iteration
+    stops when the KKT violation gap m(alpha) - M(alpha), the largest g over
+    I_up minus the smallest over I_low, drops to cfg.tol, or after
+    cfg.max_iter steps. The model reports the steps taken and the final gap.
+    gram, when given, is the kernel matrix of X with itself under cfg,
+    computed by the caller (the grid search shares one across C).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -103,81 +123,102 @@ def train(X: np.ndarray, y: np.ndarray, cfg: SvmConfig = SvmConfig()) -> SvmMode
     n = X.shape[0]
     if n < 2 or len(np.unique(y)) < 2:
         raise SingleClass("training needs both classes present")
+    if gram is None:
+        K = _kernel_matrix(X, X, cfg.kernel, cfg.gamma)
+    else:
+        K = np.asarray(gram, dtype=np.float64)
+        if K.shape != (n, n):
+            raise ValueError("gram must be the n x n kernel matrix of X")
+        _check_finite(K)
 
-    K = _kernel_matrix(X, X, cfg.kernel, cfg.gamma)
     Q = (y[:, None] * y[None, :]) * K
-    qd = np.diag(Q).copy()
-    alpha = np.zeros(n)
-    grad = -np.ones(n)
-    C = cfg.C
+    qd = np.diag(Q).tolist()
+    # Rows of Q times -y: since y is +/-1, adding them to g is exactly the
+    # sign-flipped update of grad, so g holds the values of -y * grad.
+    Q_g = Q * (-y)[None, :]
+    g = y.copy()                 # -y * grad at alpha = 0, where grad = -1
+    labels = y.tolist()
+    alpha = [0.0] * n
+    C = float(cfg.C)
+    # Working-set masks as additive penalties: 0 inside, -inf/+inf outside
+    # I_up (alpha < C for y = +1, alpha > 0 for y = -1) and I_low (alpha > 0
+    # for y = +1, alpha < C for y = -1); all alpha start at 0. argmax/argmin
+    # of g + penalty pick the first extreme index inside the mask; the gap
+    # and the bias read g itself.
+    pen_up = np.where(y > 0, 0.0, -math.inf)
+    pen_low = np.where(y < 0, 0.0, math.inf)
+    g_up, g_low = np.empty(n), np.empty(n)
 
-    for _ in range(cfg.max_iter):
-        neg_yg = -y * grad
-        up = (alpha < C) & (y > 0) | (alpha > 0) & (y < 0)
-        low = (alpha < C) & (y < 0) | (alpha > 0) & (y > 0)
-        m_val = neg_yg[up].max()
-        big_m = neg_yg[low].min()
-        if m_val - big_m <= cfg.tol:
+    n_iter = 0
+    while True:
+        i = int(np.add(g, pen_up, out=g_up).argmax())
+        j = int(np.add(g, pen_low, out=g_low).argmin())
+        gap = float(g[i] - g[j])
+        if gap <= cfg.tol or n_iter == cfg.max_iter:
             break
-        i = int(np.flatnonzero(up)[np.argmax(neg_yg[up])])
-        j = int(np.flatnonzero(low)[np.argmin(neg_yg[low])])
+        n_iter += 1
 
-        old_i, old_j = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            quad = max(qd[i] + qd[j] + 2.0 * Q[i, j], _TAU)
-            delta = (-grad[i] - grad[j]) / quad
-            diff = alpha[i] - alpha[j]
-            alpha[i] += delta
-            alpha[j] += delta
+        y_i, y_j = labels[i], labels[j]
+        grad_i, grad_j = -y_i * float(g[i]), -y_j * float(g[j])
+        old_i, old_j = a_i, a_j = alpha[i], alpha[j]
+        if y_i != y_j:
+            quad = max(qd[i] + qd[j] + 2.0 * float(Q[i, j]), _TAU)
+            delta = (-grad_i - grad_j) / quad
+            diff = a_i - a_j
+            a_i += delta
+            a_j += delta
             if diff > 0:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = diff
+                if a_j < 0:
+                    a_j = 0.0
+                    a_i = diff
             else:
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = -diff
+                if a_i < 0:
+                    a_i = 0.0
+                    a_j = -diff
             if diff > 0:
-                if alpha[i] > C:
-                    alpha[i] = C
-                    alpha[j] = C - diff
+                if a_i > C:
+                    a_i = C
+                    a_j = C - diff
             else:
-                if alpha[j] > C:
-                    alpha[j] = C
-                    alpha[i] = C + diff
+                if a_j > C:
+                    a_j = C
+                    a_i = C + diff
         else:
-            quad = max(qd[i] + qd[j] - 2.0 * Q[i, j], _TAU)
-            delta = (grad[i] - grad[j]) / quad
-            total = alpha[i] + alpha[j]
-            alpha[i] -= delta
-            alpha[j] += delta
+            quad = max(qd[i] + qd[j] - 2.0 * float(Q[i, j]), _TAU)
+            delta = (grad_i - grad_j) / quad
+            total = a_i + a_j
+            a_i -= delta
+            a_j += delta
             if total > C:
-                if alpha[i] > C:
-                    alpha[i] = C
-                    alpha[j] = total - C
+                if a_i > C:
+                    a_i = C
+                    a_j = total - C
             else:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = total
+                if a_j < 0:
+                    a_j = 0.0
+                    a_i = total
             if total > C:
-                if alpha[j] > C:
-                    alpha[j] = C
-                    alpha[i] = total - C
+                if a_j > C:
+                    a_j = C
+                    a_i = total - C
             else:
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = total
+                if a_i < 0:
+                    a_i = 0.0
+                    a_j = total
 
-        grad += Q[i] * (alpha[i] - old_i) + Q[j] * (alpha[j] - old_j)
+        alpha[i], alpha[j] = a_i, a_j
+        g += Q_g[i] * (a_i - old_i) + Q_g[j] * (a_j - old_j)
+        for k, a in ((i, a_i), (j, a_j)):
+            in_up, in_low = (a < C, a > 0) if labels[k] > 0 else (a > 0, a < C)
+            pen_up[k] = 0.0 if in_up else -math.inf
+            pen_low[k] = 0.0 if in_low else math.inf
 
-    neg_yg = -y * grad
+    alpha = np.array(alpha)
     free = (alpha > 0) & (alpha < C)
     if free.any():
-        bias = float(neg_yg[free].mean())
+        bias = float(g[free].mean())
     else:
-        up = (alpha < C) & (y > 0) | (alpha > 0) & (y < 0)
-        low = (alpha < C) & (y < 0) | (alpha > 0) & (y > 0)
-        bias = float((neg_yg[up].max() + neg_yg[low].min()) / 2.0)
+        bias = float((g[i] + g[j]) / 2.0)
 
     kept = alpha > 1e-12
     return SvmModel(
@@ -186,7 +227,9 @@ def train(X: np.ndarray, y: np.ndarray, cfg: SvmConfig = SvmConfig()) -> SvmMode
         bias=bias,
         kernel=cfg.kernel,
         gamma=cfg.gamma,
-        C=C,
+        C=cfg.C,
+        n_iter=n_iter,
+        kkt_gap=gap,
     )
 
 
@@ -313,30 +356,51 @@ def enumerate_grid(
     tol: float = 1e-3,
 ) -> list[GridEntry]:
     """Deterministic enumeration: feature sets in given order, linear before
-    rbf, C ascending, gamma ascending (linear has no gamma axis)."""
+    rbf, C ascending, gamma ascending (linear has no gamma axis). An unknown
+    kernel, an empty enumeration or the rbf kernel without a gamma value is a
+    ValueError."""
+    if "rbf" in kernels and not len(gamma_grid):
+        raise ValueError("the rbf kernel needs at least one gamma value")
     entries = []
     for key in feature_keys:
         key = key if isinstance(key, tuple) else (key,)
         for kernel in kernels:
             for c in c_grid:
-                if kernel == "linear":
-                    entries.append(GridEntry(key, SvmConfig(C=c, kernel="linear", tol=tol)))
-                else:
-                    for g in gamma_grid:
-                        entries.append(
-                            GridEntry(key, SvmConfig(C=c, kernel="rbf", gamma=g, tol=tol))
-                        )
+                for g in gamma_grid if kernel == "rbf" else (SvmConfig.gamma,):
+                    cfg = SvmConfig(C=c, kernel=kernel, gamma=g, tol=tol)
+                    entries.append(GridEntry(key, cfg))
+    if not entries:
+        raise ValueError("the grid is empty: it needs a feature set, a kernel and a C value")
     return entries
 
 
-def _evaluate_entry(args):
-    index, entry, X, y, folds = args
-    accs = []
-    for train_idx, test_idx in folds:
-        model = train(X[train_idx], y[train_idx], entry.config)
-        pred = predict(model, X[test_idx])
-        accs.append(float((pred == y[test_idx]).mean()))
-    return index, tuple(accs)
+def _fold_grams(X: np.ndarray, folds) -> list:
+    """Per fold, the training block's linear Gram and squared distances,
+    by the arithmetic of _kernel_matrix on that block with itself."""
+    grams = []
+    for train_idx, _ in folds:
+        a = X[train_idx]
+        ab = a @ a.T
+        grams.append((ab, _sq_distances(a, a, ab)))
+    return grams
+
+
+def _evaluate_group(shared, group):
+    """Fold accuracies of every configuration of one (feature set, kernel,
+    gamma) group; each fold's kernel matrix is built once for all its C."""
+    matrices, grams, y, folds = shared
+    key, configs = group
+    X = matrices[key]
+    kernel, gamma = configs[0].kernel, configs[0].gamma
+    accs = [[] for _ in configs]
+    for (train_idx, test_idx), (ab, d2) in zip(folds, grams[key]):
+        X_train, y_train = X[train_idx], y[train_idx]
+        X_test, y_test = X[test_idx], y[test_idx]
+        gram = ab if kernel == "linear" else _rbf(d2, gamma)
+        for cfg, fold_accs in zip(configs, accs):
+            model = train(X_train, y_train, cfg, gram=gram)
+            fold_accs.append(float((predict(model, X_test) == y_test).mean()))
+    return [tuple(a) for a in accs]
 
 
 def grid_search(
@@ -352,9 +416,10 @@ def grid_search(
     """Exhaustive CV accuracy search.
 
     feature_sets maps a feature key (e.g. (k_dp, k_rci)) to its n x d matrix,
-    iterated in the given order. Selection is the first configuration
-    attaining the maximum unweighted mean of per-fold accuracies, so results
-    do not depend on worker scheduling.
+    iterated in the given order. One unit of (parallel) work is one
+    (feature set, kernel, gamma) group over the whole C axis. Selection is
+    the first configuration attaining the maximum unweighted mean of
+    per-fold accuracies, so results do not depend on worker scheduling.
     """
     y = np.asarray(y, dtype=np.float64)
     folds = [(np.asarray(tr), np.asarray(te)) for tr, te in folds]
@@ -362,23 +427,23 @@ def grid_search(
         (key if isinstance(key, tuple) else (key,)): np.asarray(mat, dtype=np.float64)
         for key, mat in feature_sets.items()
     }
-    entries = enumerate_grid(feature_sets.keys(), c_grid, gamma_grid, kernels, tol)
-    tasks = [
-        (idx, entry, matrices[entry.feature_key], y, folds)
-        for idx, entry in enumerate(entries)
-    ]
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
-            raw = pool.map(_evaluate_entry, tasks, chunksize=32)
-    else:
-        raw = [_evaluate_entry(t) for t in tasks]
-    raw.sort(key=lambda r: r[0])
+    entries = enumerate_grid(matrices, c_grid, gamma_grid, kernels, tol)
+    groups = {}
+    for idx, entry in enumerate(entries):
+        cfg = entry.config
+        groups.setdefault((entry.feature_key, cfg.kernel, cfg.gamma), []).append(idx)
+    grams = {key: _fold_grams(X, folds) for key, X in matrices.items()}
+    tasks = [(key, [entries[i].config for i in idxs]) for (key, _, _), idxs in groups.items()]
+    results = parallel_map(_evaluate_group, (matrices, grams, y, folds), tasks, jobs)
+    fold_accs = [None] * len(entries)
+    for idxs, group_accs in zip(groups.values(), results):
+        for idx, accs in zip(idxs, group_accs):
+            fold_accs[idx] = accs
 
     rows = []
     best_idx, best_mean = None, -1.0
-    for idx, accs in raw:
+    for idx, (entry, accs) in enumerate(zip(entries, fold_accs)):
         mean = float(np.mean(accs))
-        entry = entries[idx]
         rows.append(
             (entry.feature_key, entry.config.kernel, entry.config.C,
              entry.config.gamma if entry.config.kernel == "rbf" else None,

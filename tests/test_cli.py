@@ -229,6 +229,34 @@ class TestDictionaryCommands:
         got = np.array([[float(v) for v in rows[i][4:]] for i in features.classification_rows])
         assert np.array_equal(got, features.matrix("fused"))
 
+    @pytest.mark.parametrize("modality, k", [("dp", 12), ("rci", 6)])
+    def test_build_dict_extracts_only_its_route(
+        self, manifest, monkeypatch, tmp_path, modality, k
+    ):
+        config = experiments.PipelineConfig(dp_size=96, rci_size=64, k_dp=12, k_rci=6)
+        desc = experiments.extract_cohort(dataio.load_manifest(manifest), "nc-c", config)
+        features = experiments.partition_features(desc, seed=0, build_dictionaries=False)
+        want = tmp_path / "want.json"
+        dataio.save_model(bovw.kmeans(
+            desc.pool(modality, features.reference_rows), k, 0, modality=modality), want)
+
+        sizes = []
+        real = experiments.extract
+
+        def counting(img, params):
+            sizes.append(img.pixels.shape)
+            return real(img, params)
+
+        monkeypatch.setattr(experiments, "extract", counting)
+        out = tmp_path / "dict.json"
+        assert cli.main([
+            "build-dict", "--manifest", manifest, "--task", "nc-c",
+            "--modality", modality, "--k", str(k), "--out", str(out), *PIPE_FLAGS,
+        ]) == 0
+        size = config.dp_size if modality == "dp" else config.rci_size
+        assert sizes == [(size, size)] * len(features.reference_rows)
+        assert out.read_bytes() == want.read_bytes()
+
     def test_encode_with_a_dictionary_of_the_other_route_is_a_data_error(
         self, manifest, dictionaries, no_cubes, tmp_path
     ):
@@ -400,6 +428,24 @@ class TestGrid:
         assert best[1][0] == "8" and best[1][1] == "4"
         rows = read_rows(outputs[0])
         assert len(rows) == 1 + 1 * 1 * (2 + 2 * 1)
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--kernels", ""],
+        ["--c-grid", ""],
+        ["--dp-sizes", ""],
+        ["--kernels", "rbf", "--gamma-grid", ""],
+        ["--kernels", "poly"],
+        ["--c-grid=-1"],
+        ["--gamma-grid=0"],
+    ])
+    def test_empty_or_invalid_grid_fails_before_any_cube_is_loaded(
+        self, manifest, no_cubes, capsys, tmp_path, flags
+    ):
+        out = tmp_path / "grid.csv"
+        assert cli.main(["grid", "--manifest", manifest, "--out", str(out), *flags]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestSelection:

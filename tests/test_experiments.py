@@ -78,15 +78,40 @@ class TestPreparation:
         full = experiments.prepare_sample(cohort.samples[0], CONFIG)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("image work with include_images=False")
+            raise AssertionError("image work with routes=()")
 
         for module, name in ((dataio, "load_image"), (experiments.imaging, "resize_cubic"),
                              (experiments.imaging, "histogram_equalize")):
             monkeypatch.setattr(module, name, forbidden)
-        light = experiments.prepare_sample(cohort.samples[0], CONFIG, include_images=False)
+        light = experiments.prepare_sample(cohort.samples[0], CONFIG, routes=())
         assert light.dp is None and light.rci is None
         assert np.array_equal(light.mask, full.mask)
         assert np.array_equal(light.median.intensities, full.median.intensities)
+
+    @pytest.mark.parametrize("route, forbidden_name", [
+        ("dp", "histogram_equalize"),   # equalization is RCI-only
+        ("rci", "load_image"),          # the pathology image is DP-only
+    ])
+    def test_one_route_prepares_only_that_image(
+        self, cohort, monkeypatch, route, forbidden_name
+    ):
+        full = experiments.prepare_sample(cohort.samples[0], CONFIG)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{forbidden_name} called with routes=({route!r},)")
+
+        owner = dataio if forbidden_name == "load_image" else experiments.imaging
+        monkeypatch.setattr(owner, forbidden_name, forbidden)
+        one = experiments.prepare_sample(cohort.samples[0], CONFIG, routes=(route,))
+        other = "rci" if route == "dp" else "dp"
+        assert np.array_equal(getattr(one, route).pixels, getattr(full, route).pixels)
+        assert getattr(one, other) is None
+        assert np.array_equal(one.mask, full.mask)
+        assert np.array_equal(one.median.intensities, full.median.intensities)
+
+    def test_unknown_route_rejected(self, cohort):
+        with pytest.raises(ValueError):
+            experiments.prepare_sample(cohort.samples[0], CONFIG, routes=("fused",))
 
 
 class TestTaskRecords:
@@ -122,7 +147,7 @@ class TestTwoStageFeatures:
 
     def test_medians_identical_without_image_routes(self, descriptors, cohort):
         light = experiments.extract_cohort(
-            cohort, "nc-c", CONFIG, include_images=False
+            cohort, "nc-c", CONFIG, routes=()
         )
         assert np.array_equal(light.medians, descriptors.medians)
         assert all(d.shape == (0, 128) for d in light.dp_descriptors)

@@ -2,6 +2,7 @@
 probability calibration behaviour, and grid-search bookkeeping."""
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from ramanfuse.errors import (
     DimMismatch,
     SingleClass,
 )
+
+GOLDEN = Path(__file__).parent / "data" / "svm_golden.npz"
 
 
 def dual_value(alpha, Q):
@@ -128,6 +131,52 @@ class TestTrainGeometry:
         y = np.array([-1.0, 1.0])
         with pytest.raises(DegenerateKernel):
             svm.train(X, y, svm.SvmConfig(C=1.0, kernel="rbf", gamma=1.0))
+
+
+class TestSolverReport:
+    def test_fit_capped_by_max_iter_reports_a_gap_above_tol(self):
+        X, y = tiny_dataset()
+        cfg = svm.SvmConfig(C=10.0, kernel="rbf", gamma=1.0, max_iter=1)
+        model = svm.train(X, y, cfg)
+        assert model.n_iter == 1
+        assert model.kkt_gap > cfg.tol
+
+    def test_converged_fit_reports_a_gap_within_tol(self):
+        X, y = tiny_dataset()
+        cfg = svm.SvmConfig(C=10.0, kernel="rbf", gamma=1.0)
+        model = svm.train(X, y, cfg)
+        assert 1 < model.n_iter < cfg.max_iter
+        assert model.kkt_gap <= cfg.tol
+
+    def test_report_stays_out_of_the_saved_model(self, tmp_path):
+        X, y = tiny_dataset()
+        model = svm.calibrate(svm.train(X, y, svm.SvmConfig(C=10.0)), X, y)
+        assert model.n_iter is not None
+        assert not {"n_iter", "kkt_gap"} & set(model.to_payload())
+        path = tmp_path / "clf.json"
+        dataio.save_model(model, path)
+        loaded = dataio.load_model(path)
+        assert loaded.n_iter is None and loaded.kkt_gap is None
+
+
+class TestPrecomputedGram:
+    @pytest.mark.parametrize("kernel", svm.KERNELS)
+    def test_gram_of_x_gives_the_same_model(self, kernel):
+        X, y = tiny_dataset(2)
+        cfg = svm.SvmConfig(C=4.0, kernel=kernel, gamma=0.5)
+        gram = svm._kernel_matrix(X, X, kernel, cfg.gamma)
+        plain, shared = svm.train(X, y, cfg), svm.train(X, y, cfg, gram=gram)
+        assert np.array_equal(plain.dual_coef, shared.dual_coef)
+        assert plain.bias == shared.bias
+
+    def test_non_finite_or_misshapen_gram_rejected(self):
+        X, y = tiny_dataset()
+        gram = svm._kernel_matrix(X, X, "linear", 1.0)
+        gram[3, 4] = np.nan
+        with pytest.raises(DegenerateKernel):
+            svm.train(X, y, svm.SvmConfig(), gram=gram)
+        with pytest.raises(ValueError):
+            svm.train(X, y, svm.SvmConfig(), gram=np.eye(len(y) - 1))
 
 
 class TestOracle:
@@ -315,6 +364,23 @@ class TestGridSearch:
         )
         assert result.best.feature_key == ("first",)
 
+    @pytest.mark.parametrize("grid", [
+        dict(c_grid=[]),
+        dict(kernels=[]),
+        dict(kernels=["rbf"], gamma_grid=[]),
+        dict(gamma_grid=[]),
+        dict(kernels=["poly"]),
+    ])
+    def test_empty_or_invalid_grid_rejected(self, grid):
+        X, y = tiny_dataset()
+        with pytest.raises(ValueError):
+            svm.grid_search({("f",): X}, y, two_folds(60), **grid)
+
+    def test_no_feature_sets_rejected(self):
+        _, y = tiny_dataset()
+        with pytest.raises(ValueError):
+            svm.grid_search({}, y, two_folds(60))
+
     def test_parallel_matches_serial(self):
         X, y = tiny_dataset(4)
         kwargs = dict(c_grid=(0.5, 8.0), gamma_grid=(0.5,))
@@ -338,3 +404,57 @@ class TestGridSearch:
         assert recorded_means == [
             pytest.approx(row[5], abs=5e-7) for row in result.rows
         ]
+
+
+class TestGolden:
+    """train() and grid_search() output frozen before the SMO loop was
+    rewritten to keep -y*grad and the working-set masks incrementally.
+
+    tests/data/svm_golden.npz was written by the solver that recomputed
+    both masks and -y*grad every iteration. Its inputs, drawn in this
+    order from ``np.random.default_rng(20261018)``:
+
+    * X: 38x105 ``rng.gamma(0.3, size=(38, 105))``, each row divided by
+      its sum (L1-normalised, sparse like BoVW histograms);
+    * y: ``where(rng.permutation(38) < 19, 1.0, -1.0)``;
+    * X2: a second matrix drawn like X.
+
+    train(X, y) ran for tol 1e-3 then 1e-8; within each, for C in
+    ``C_GRID[::5]``, linear, then rbf for gamma in ``GAMMA_GRID[::6]``
+    (50 fits). Each fit stores its support-vector row indices into X, its
+    dual_coef and its bias. grid_search ran on {("a",): X, ("b",): X2}
+    with the two parity folds of range(38), ``C_GRID[4::6]`` and
+    ``GAMMA_GRID[6::6]`` (24 rows); it stores every row's fold accuracies
+    and mean and the best row's index.
+    """
+
+    def test_train_matches_frozen_output(self):
+        gold = np.load(GOLDEN)
+        X, y, offsets = gold["X"], gold["y"], gold["offsets"]
+        table = zip(gold["kernel"], gold["C"], gold["gamma"], gold["tol"])
+        for n, (kernel, c, gamma, tol) in enumerate(table):
+            cfg = svm.SvmConfig(C=float(c), kernel=svm.KERNELS[kernel],
+                                gamma=float(gamma), tol=float(tol))
+            model = svm.train(X, y, cfg)
+            rows = gold["sv_index"][offsets[n]:offsets[n + 1]]
+            assert np.array_equal(model.support_vectors, X[rows]), cfg
+            assert np.array_equal(
+                model.dual_coef, gold["dual_coef"][offsets[n]:offsets[n + 1]]
+            ), cfg
+            assert model.bias == gold["bias"][n], cfg
+
+    def test_grid_search_matches_frozen_rows(self):
+        gold = np.load(GOLDEN)
+        idx = np.arange(38)
+        folds = [(idx[idx % 2 == 0], idx[idx % 2 == 1]),
+                 (idx[idx % 2 == 1], idx[idx % 2 == 0])]
+        result = svm.grid_search(
+            {("a",): gold["X"], ("b",): gold["X2"]}, gold["y"], folds,
+            c_grid=tuple(gold["grid_c"]), gamma_grid=tuple(gold["grid_gamma"]),
+        )
+        assert np.array_equal([row[4] for row in result.rows], gold["grid_accuracies"])
+        assert np.array_equal([row[5] for row in result.rows], gold["grid_means"])
+        key, kernel, c, _, accs, _ = result.rows[int(gold["grid_best"])]
+        best = result.best
+        assert (best.feature_key, best.config.kernel, best.config.C) == (key, kernel, c)
+        assert result.fold_accuracies == accs
