@@ -129,6 +129,8 @@ def kmeans(
     points = np.asarray(descriptors, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("descriptors must be an n x d matrix")
+    if k < 1:
+        raise ValueError(f"k-means needs k >= 1, got {k}")
     n = points.shape[0]
     if n < k:
         raise TooFewDescriptors(f"k-means needs at least k={k} descriptors, got {n}")

@@ -40,7 +40,19 @@ class _Parser(argparse.ArgumentParser):
     can map them to exit code 1."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _open_fraction(text: str) -> float:
+    if not 0.0 < float(text) < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text!r}")
+    return float(text)
 
 
 # --- config handling ---------------------------------------------------------------
@@ -69,7 +81,7 @@ def _check_config(parser: argparse.ArgumentParser, config: dict) -> None:
         try:
             checked = value if action.type is None else action.type(str(value))
             ok = action.choices is None or checked in action.choices
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
             ok = False
         if not ok:
             raise _UsageError(
@@ -86,16 +98,10 @@ def _opt(args, config: dict, name: str, default=None):
     return config.get(name, default)
 
 
-def _int_list(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(v) for v in str(value).split(",") if v.strip()]
-
-
-def _float_list(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(v) for v in str(value).split(",") if v.strip()]
+def _list(value, typ) -> list:
+    """The items of a comma-list flag or a JSON-list config value, as typ."""
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    return [typ(v) for v in items if str(v).strip()]
 
 
 def _pipeline_config(args, config) -> experiments.PipelineConfig:
@@ -121,6 +127,13 @@ def _svm_config(args, config) -> svm.SvmConfig:
         kernel=kernel,
         gamma=float(_opt(args, config, "gamma", base.gamma)),
     )
+
+
+def _pls_settings(args, config, task: str):
+    """(pretreatment, latent variables) of the median-spectrum route."""
+    default_pre, default_lv = PLS_DEFAULTS[task]
+    pre = spectral.parse_pretreatment(str(_opt(args, config, "pretreatment", default_pre)))
+    return pre, int(_opt(args, config, "n_lv", default_lv))
 
 
 def _load_task_manifest(args, config):
@@ -253,12 +266,12 @@ def _cmd_encode(args, config) -> int:
         if getattr(dicts[name], "modality", None) != name:
             raise ModalityMismatch(f"--{name}-dict does not hold a {name} dictionary")
 
-    desc = experiments.extract_cohort(manifest, task, cfg)
+    desc = experiments.extract_cohort(manifest, task, cfg, routes=routes)
     rows = []
     width = None
     for i, record in enumerate(desc.manifest.samples):
         vec = experiments.feature_row(
-            [bovw.encode_descriptors(desc.route(r)[i], dicts[r]) for r in routes],
+            [bovw.encode_descriptors(desc.routes[r][i], dicts[r]) for r in routes],
             cfg.normalize,
         )
         width = len(vec)
@@ -292,17 +305,17 @@ def _cmd_train(args, config) -> int:
     modality = _opt(args, config, "modality", "fused")
     cfg = _pipeline_config(args, config)
     seed = int(_opt(args, config, "seed", 0))
-
     if modality == "median-spectrum":
-        default_pre, default_lv = PLS_DEFAULTS[task]
-        pre = spectral.parse_pretreatment(
-            str(_opt(args, config, "pretreatment", default_pre))
-        )
-        n_lv = int(_opt(args, config, "n_lv", default_lv))
-        desc = experiments.extract_cohort(manifest, task, cfg, routes=())
-        features = experiments.partition_features(desc, seed, build_dictionaries=False)
-        _check_leakage(features.plan)
+        pre, n_lv = _pls_settings(args, config, task)
         fit, _ = experiments.pls_fold_functions(pre, n_lv)
+    else:
+        svm_cfg = _svm_config(args, config)
+        fit, _ = experiments.svm_fold_functions(svm_cfg)
+
+    desc = experiments.extract_cohort(manifest, task, cfg, routes=experiments.ROUTES[modality])
+    features = experiments.partition_features(desc, seed)
+    _check_leakage(features.plan)
+    if modality == "median-spectrum":
         _, model = fit(features.medians, features.y)
         dataio.save_model(model, out)
         print(
@@ -311,11 +324,7 @@ def _cmd_train(args, config) -> int:
         )
         return 0
 
-    features = experiments.build_cohort_features(manifest, task, cfg, seed)
-    _check_leakage(features.plan)
-    svm_cfg = _svm_config(args, config)
     X = features.matrix(modality)
-    fit, _ = experiments.svm_fold_functions(svm_cfg)
     model = fit(X, features.y)
     dataio.save_model(model, out)
     print(
@@ -326,12 +335,9 @@ def _cmd_train(args, config) -> int:
 
 
 def _cv_once(desc, modality, seed, svm_cfg, pre, n_lv):
-    is_median = modality == "median-spectrum"
-    features = experiments.partition_features(
-        desc, seed, build_dictionaries=not is_median
-    )
+    features = experiments.partition_features(desc, seed)
     _check_leakage(features.plan)
-    if is_median:
+    if modality == "median-spectrum":
         return experiments.run_pls_cv(features, pre, n_lv)
     return experiments.run_bovw_cv(features, modality, svm_cfg)
 
@@ -345,14 +351,9 @@ def _cmd_cv(args, config) -> int:
     seed = int(_opt(args, config, "seed", 0))
     out = _out_dir(args, config)
     svm_cfg = _svm_config(args, config)
-    default_pre, default_lv = PLS_DEFAULTS[task]
-    pre = spectral.parse_pretreatment(
-        str(_opt(args, config, "pretreatment", default_pre))
-    )
-    n_lv = int(_opt(args, config, "n_lv", default_lv))
+    pre, n_lv = _pls_settings(args, config, task)
 
-    routes = () if modality == "median-spectrum" else experiments.IMAGE_ROUTES
-    desc = experiments.extract_cohort(manifest, task, cfg, routes=routes)
+    desc = experiments.extract_cohort(manifest, task, cfg, routes=experiments.ROUTES[modality])
     sens, spec_, aucs = [], [], []
     for r in range(n_sets):
         set_seed = seed if n_sets == 1 else derive_seed(seed, "reference-set", r)
@@ -395,20 +396,20 @@ def _cmd_grid(args, config) -> int:
     cfg = _pipeline_config(args, config)
     seed = int(_opt(args, config, "seed", 0))
     jobs = int(_opt(args, config, "jobs", 1))
-    dp_sizes = _int_list(_opt(args, config, "dp_sizes", bovw.DP_DICTIONARY_SIZES))
-    rci_sizes = _int_list(_opt(args, config, "rci_sizes", bovw.RCI_DICTIONARY_SIZES))
-    c_grid = _float_list(_opt(args, config, "c_grid", svm.C_GRID))
-    gamma_grid = _float_list(_opt(args, config, "gamma_grid", svm.GAMMA_GRID))
-    kernels_value = _opt(args, config, "kernels", svm.KERNELS)
-    if isinstance(kernels_value, str):
-        kernels_value = kernels_value.split(",")
-    kernels = [str(k) for k in kernels_value if k]
+    dp_sizes = _list(_opt(args, config, "dp_sizes", bovw.DP_DICTIONARY_SIZES), int)
+    rci_sizes = _list(_opt(args, config, "rci_sizes", bovw.RCI_DICTIONARY_SIZES), int)
+    c_grid = _list(_opt(args, config, "c_grid", svm.C_GRID), float)
+    gamma_grid = _list(_opt(args, config, "gamma_grid", svm.GAMMA_GRID), float)
+    kernels = _list(_opt(args, config, "kernels", svm.KERNELS), str)
     # Rejects an empty or invalid grid before any cube is loaded.
+    if min(dp_sizes + rci_sizes, default=1) < 1:
+        raise ValueError(f"dictionary sizes must be positive, got {dp_sizes + rci_sizes}")
     svm.enumerate_grid(
         [(k_dp, k_rci) for k_dp in dp_sizes for k_rci in rci_sizes], c_grid, gamma_grid, kernels
     )
 
-    features = experiments.build_cohort_features(manifest, task, cfg, seed)
+    desc = experiments.extract_cohort(manifest, task, cfg)
+    features = experiments.partition_features(desc, seed, build_dictionaries=False)
     _check_leakage(features.plan)
     matrices = experiments.grid_feature_sets(features, dp_sizes, rci_sizes, seed)
     folds = experiments.plan_fold_indices(features)
@@ -577,8 +578,9 @@ def build_parser() -> _Parser:
     p.add_argument("--n-bands", type=int)
 
     common_pipeline = [
-        ("--dp-size", int), ("--rci-size", int), ("--k-dp", int), ("--k-rci", int),
-        ("--folds", int), ("--reference-fraction", float),
+        ("--dp-size", _positive_int), ("--rci-size", _positive_int),
+        ("--k-dp", _positive_int), ("--k-rci", _positive_int),
+        ("--folds", _positive_int), ("--reference-fraction", _open_fraction),
     ]
 
     def add_pipeline_flags(p):
@@ -602,7 +604,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.add_argument("--task", choices=TASKS)
     p.add_argument("--modality", choices=("dp", "rci"))
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_positive_int)
     add_pipeline_flags(p)
 
     p = add("encode", _cmd_encode, "encode samples against saved dictionaries")
@@ -623,7 +625,7 @@ def build_parser() -> _Parser:
     p.add_argument("--c", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--pretreatment")
-    p.add_argument("--n-lv", type=int)
+    p.add_argument("--n-lv", type=_positive_int)
     add_pipeline_flags(p)
 
     p = add("cv", _cmd_cv, "patient-grouped cross-validation with report files")
@@ -636,7 +638,7 @@ def build_parser() -> _Parser:
     p.add_argument("--c", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--pretreatment")
-    p.add_argument("--n-lv", type=int)
+    p.add_argument("--n-lv", type=_positive_int)
     add_pipeline_flags(p)
 
     p = add("grid", _cmd_grid, "exhaustive dictionary/kernel/C/gamma accuracy search")
@@ -656,8 +658,8 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest")
     p.add_argument("--out")
     p.add_argument("--task", choices=TASKS)
-    p.add_argument("--n-repeats", type=int)
-    p.add_argument("--lv-max", type=int)
+    p.add_argument("--n-repeats", type=_positive_int)
+    p.add_argument("--lv-max", type=_positive_int)
     p.add_argument("--pretreatments", help="comma list overriding the standard menu")
     p.add_argument("--jobs", type=int)
     add_pipeline_flags(p)

@@ -11,10 +11,15 @@ import numpy as np
 
 from . import bovw, dataio, evaluation, imaging, plsda, spectral, svm, synth
 from .dataio import CohortManifest, GreyImage, Label
+from .errors import DimMismatch
 from .sift import SiftParams, descriptor_matrix, extract
 
 TASKS = ("nc-c", "g3-g4")
-MODALITIES = ("dp", "rci", "fused", "median-spectrum")
+IMAGE_ROUTES = ("dp", "rci")
+# The image routes each modality reads; a command extracts and clusters
+# exactly these.
+ROUTES = {"dp": ("dp",), "rci": ("rci",), "fused": IMAGE_ROUTES, "median-spectrum": ()}
+MODALITIES = tuple(ROUTES)
 
 
 @dataclass(frozen=True)
@@ -68,9 +73,6 @@ class PreparedSample:
     median: spectral.Spectrum   # median spectrum over the mask
 
 
-IMAGE_ROUTES = ("dp", "rci")
-
-
 def prepare_sample(
     record, config: PipelineConfig = PipelineConfig(), routes=IMAGE_ROUTES
 ) -> PreparedSample:
@@ -112,9 +114,6 @@ def task_records(manifest: CohortManifest, task: str):
 # --- cohort feature construction ---------------------------------------------------
 
 
-ROUTES = {"dp": ("dp",), "rci": ("rci",), "fused": IMAGE_ROUTES}
-
-
 def feature_row(histograms, normalize: bool) -> np.ndarray:
     """One sample's feature vector: its route histograms side by side in
     ROUTES order, each block normalized on its own; for (dp, rci) this is
@@ -125,23 +124,17 @@ def feature_row(histograms, normalize: bool) -> np.ndarray:
 @dataclass(frozen=True)
 class CohortDescriptors:
     """Partition-independent per-sample measurements for one task: SIFT
-    descriptors for both image routes plus median spectra."""
+    descriptors of the extracted image routes plus median spectra."""
 
-    task: str
     manifest: CohortManifest     # task records only
     y: np.ndarray
-    dp_descriptors: tuple
-    rci_descriptors: tuple
+    routes: dict                 # {route: descriptor matrix per sample}, extracted routes only
     medians: np.ndarray
     config: PipelineConfig
 
-    def route(self, modality: str) -> tuple:
-        """Descriptor matrix per sample for one image route."""
-        return {"dp": self.dp_descriptors, "rci": self.rci_descriptors}[modality]
-
-    def pool(self, modality: str, rows) -> np.ndarray:
+    def pool(self, route: str, rows) -> np.ndarray:
         """Descriptors of the given rows stacked into one matrix."""
-        table = self.route(modality)
+        table = self.routes[route]
         return np.concatenate([table[i] for i in rows] or [np.zeros((0, 128))])
 
 
@@ -152,7 +145,7 @@ class CohortFeatures:
 
     descriptors: CohortDescriptors
     plan: evaluation.FoldPlan
-    histograms: dict    # {"dp": WordHistogram per classification row, "rci": ...}
+    histograms: dict    # {route: WordHistogram per classification row}
 
     @cached_property
     def _is_reference(self) -> np.ndarray:
@@ -186,9 +179,12 @@ class CohortFeatures:
         return self.descriptors.medians[self.classification_rows]
 
     def matrix(self, modality: str) -> np.ndarray:
-        if modality not in ROUTES or not self.histograms:
-            raise ValueError(f"no {modality!r} feature matrix in these features")
-        blocks = [self.histograms[route] for route in ROUTES[modality]]
+        routes = ROUTES.get(modality, ())
+        missing = [route for route in routes if route not in self.histograms]
+        if not routes or missing:
+            lacking = f": no {'/'.join(missing)} histograms" if missing else ""
+            raise ValueError(f"no {modality!r} feature matrix in these features{lacking}")
+        blocks = [self.histograms[route] for route in routes]
         return np.array([feature_row(row, self.config.normalize) for row in zip(*blocks)])
 
 
@@ -199,38 +195,35 @@ def extract_cohort(
     routes=IMAGE_ROUTES,
 ) -> CohortDescriptors:
     """The heavy, partition-free stage: preprocess every task sample once
-    and keep its descriptors and median spectrum. An image route left out
-    of `routes` gets no descriptors (empty matrices); routes=() is
-    median-spectrum work only."""
+    and keep the descriptors of each route in `routes` and its median
+    spectrum; routes=() is median-spectrum work only. Every cube must share
+    the first sample's wavenumber axis."""
     records, y = task_records(manifest, task)
-    dp_desc, rci_desc, medians = [], [], []
+    table = {route: [] for route in routes}
+    medians = []
     for record in records:
         sample = prepare_sample(record, config, routes)
-        dp_desc.append(_descriptors(sample.dp, config.sift))
-        rci_desc.append(_descriptors(sample.rci, config.sift))
-        medians.append(sample.median.intensities)
+        for route, descriptors in table.items():
+            descriptors.append(descriptor_matrix(extract(getattr(sample, route), config.sift)))
+        if medians and not np.array_equal(sample.median.wavenumbers, medians[0].wavenumbers):
+            raise DimMismatch(f"sample {record.sample_id} has another wavenumber axis "
+                              f"than sample {records[0].sample_id}")
+        medians.append(sample.median)
     return CohortDescriptors(
-        task=task,
         manifest=CohortManifest(tuple(records), manifest.seed, manifest.root),
         y=y,
-        dp_descriptors=tuple(dp_desc),
-        rci_descriptors=tuple(rci_desc),
-        medians=np.array(medians),
+        routes={route: tuple(descriptors) for route, descriptors in table.items()},
+        medians=np.array([median.intensities for median in medians]),
         config=config,
     )
-
-
-def _descriptors(img, params: SiftParams) -> np.ndarray:
-    if img is None:
-        return np.zeros((0, 128))
-    return descriptor_matrix(extract(img, params))
 
 
 def partition_features(
     desc: CohortDescriptors, seed: int = 0, build_dictionaries: bool = True
 ) -> CohortFeatures:
     """The light, partition-dependent stage: draw the reference/fold split,
-    build dictionaries from reference patients, encode the rest."""
+    build a dictionary per extracted route from reference patients, encode
+    the rest."""
     config = desc.config
     plan = evaluation.plan_folds(
         desc.manifest, k=config.folds,
@@ -238,9 +231,9 @@ def partition_features(
     )
     features = CohortFeatures(desc, plan, histograms={})
     if build_dictionaries:
+        k = {"dp": config.k_dp, "rci": config.k_rci}
         features = replace(features, histograms={
-            "dp": route_histograms(features, "dp", config.k_dp, seed),
-            "rci": route_histograms(features, "rci", config.k_rci, seed),
+            route: route_histograms(features, route, k[route], seed) for route in desc.routes
         })
     return features
 
@@ -251,20 +244,10 @@ def route_histograms(features: CohortFeatures, modality: str, k: int, seed: int)
     desc = features.descriptors
     pool = desc.pool(modality, features.reference_rows)
     dictionary = bovw.kmeans(pool, k, seed, modality=modality)
-    table = desc.route(modality)
+    table = desc.routes[modality]
     return tuple(
         bovw.encode_descriptors(table[i], dictionary) for i in features.classification_rows
     )
-
-
-def build_cohort_features(
-    manifest: CohortManifest,
-    task: str,
-    config: PipelineConfig = PipelineConfig(),
-    seed: int = 0,
-) -> CohortFeatures:
-    """extract_cohort + partition_features in one step."""
-    return partition_features(extract_cohort(manifest, task, config), seed)
 
 
 # --- classification routes ---------------------------------------------------------
@@ -387,7 +370,7 @@ def fusion_benchmark(
         )
         with tempfile.TemporaryDirectory() as tmp:
             manifest = synth.generate(spec, tmp)
-            features = build_cohort_features(manifest, task, config, seed)
+            features = partition_features(extract_cohort(manifest, task, config), seed)
             for modality in out:
                 report = run_bovw_cv(features, modality)
                 out[modality].append(float(np.mean(report.fold_aucs)))

@@ -72,6 +72,16 @@ class SvmModel:
     n_iter: int | None = field(default=None, compare=False)
     kkt_gap: float | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        sv, coef = np.asarray(self.support_vectors), np.asarray(self.dual_coef)
+        if sv.ndim != 2 or coef.shape != (len(sv),) or self.kernel not in KERNELS:
+            raise ValueError(f"malformed SVM model: support vectors {sv.shape}, "
+                             f"dual coefficients {coef.shape}, kernel {self.kernel!r}")
+        scalars = (self.bias, self.gamma, self.C, self.platt_a, self.platt_b)
+        if not (np.isfinite(sv).all() and np.isfinite(coef).all()
+                and all(math.isfinite(v) for v in scalars if v is not None)):
+            raise ValueError("SVM model holds non-finite values")
+
     def to_payload(self) -> dict:
         return {
             "support_vectors": self.support_vectors.tolist(),

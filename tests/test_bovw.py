@@ -75,6 +75,11 @@ class TestKmeans:
         d = kmeans(pts, 3, seed=4)
         assert inertia(pts, d) < 1e-18
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_non_positive_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k >= 1"):
+            kmeans(np.zeros((3, 128)), k, seed=0)
+
     def test_too_few_descriptors(self):
         with pytest.raises(TooFewDescriptors):
             kmeans(np.zeros((3, 128)), 4, seed=0)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from ramanfuse import bovw, cli, dataio, evaluation, experiments, spectral, svm
+from ramanfuse import bovw, cli, dataio, evaluation, experiments, spectral, svm, synth
 from ramanfuse.errors import NumericalError
 
 COHORT_FLAGS = [
@@ -61,6 +61,25 @@ def no_cubes(monkeypatch):
         raise AssertionError("a cube was loaded")
 
     monkeypatch.setattr(dataio, "load_cube", forbidden)
+
+
+def count_route_work(monkeypatch):
+    """Record the image size of every SIFT extraction and the (modality, k)
+    of every k-means run from here on."""
+    work = {"extract": [], "kmeans": []}
+    real_extract, real_kmeans = experiments.extract, bovw.kmeans
+
+    def extract(img, params):
+        work["extract"].append(img.pixels.shape)
+        return real_extract(img, params)
+
+    def kmeans(descriptors, k, seed, *args, modality="dp", **kwargs):
+        work["kmeans"].append((modality, k))
+        return real_kmeans(descriptors, k, seed, *args, modality=modality, **kwargs)
+
+    monkeypatch.setattr(experiments, "extract", extract)
+    monkeypatch.setattr(bovw, "kmeans", kmeans)
+    return work
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +154,26 @@ class TestExitCodes:
         extra = ["--modality", "dp"] if command == "build-dict" else []
         assert cli.main([command, "--manifest", manifest, *extra]) == 1
         assert "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_bands, shift", [(24, 0.0), (32, 1.0)], ids=["bands", "axis"])
+    @pytest.mark.parametrize("argv", [
+        ["cv", "--modality", "median-spectrum"], ["pls-select"],
+    ], ids=["cv", "pls-select"])
+    def test_cubes_with_another_wavenumber_axis_are_a_data_error(
+        self, tmp_path, capsys, argv, n_bands, shift
+    ):
+        cohort = synth.generate(synth.SynthSpec(
+            n_patients=3, n_samples=6, dp_size=32, rci_size=8, n_bands=32, seed=1), tmp_path)
+        last = cohort.samples[-1]
+        cube = dataio.load_cube(last.rci_path)
+        dataio.save_cube(dataio.HyperspectralCube(
+            cube.wavenumbers[:n_bands] + shift, cube.data[:, :, :n_bands]), last.rci_path)
+        assert cli.main([
+            *argv, "--manifest", str(tmp_path / synth.MANIFEST_NAME),
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and last.sample_id in err[0]
 
     def test_numerical_failure_maps_to_exit_3(self, monkeypatch, tmp_path):
         def boom(args, config):
@@ -240,22 +279,32 @@ class TestDictionaryCommands:
         dataio.save_model(bovw.kmeans(
             desc.pool(modality, features.reference_rows), k, 0, modality=modality), want)
 
-        sizes = []
-        real = experiments.extract
-
-        def counting(img, params):
-            sizes.append(img.pixels.shape)
-            return real(img, params)
-
-        monkeypatch.setattr(experiments, "extract", counting)
+        work = count_route_work(monkeypatch)
         out = tmp_path / "dict.json"
         assert cli.main([
             "build-dict", "--manifest", manifest, "--task", "nc-c",
             "--modality", modality, "--k", str(k), "--out", str(out), *PIPE_FLAGS,
         ]) == 0
         size = config.dp_size if modality == "dp" else config.rci_size
-        assert sizes == [(size, size)] * len(features.reference_rows)
+        assert work["extract"] == [(size, size)] * len(features.reference_rows)
+        assert work["kmeans"] == [(modality, k)]
         assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("modality", ["dp", "rci"])
+    @pytest.mark.parametrize("command", ["cv", "encode", "train"])
+    def test_single_route_commands_extract_and_cluster_only_their_route(
+        self, manifest, dictionaries, monkeypatch, tmp_path, command, modality
+    ):
+        dicts = dict(zip(("dp", "rci"), dictionaries))
+        extra = [f"--{modality}-dict", str(dicts[modality])] if command == "encode" else []
+        work = count_route_work(monkeypatch)
+        assert cli.main([
+            command, "--manifest", manifest, "--task", "nc-c", "--modality", modality,
+            "--out", str(tmp_path / "out"), *extra, *PIPE_FLAGS,
+        ]) == 0
+        size, k = (96, 12) if modality == "dp" else (64, 6)
+        assert work["extract"] == [(size, size)] * 70
+        assert work["kmeans"] == ([] if command == "encode" else [(modality, k)])
 
     def test_encode_with_a_dictionary_of_the_other_route_is_a_data_error(
         self, manifest, dictionaries, no_cubes, tmp_path
@@ -398,6 +447,47 @@ class TestConfigValidation:
             "cv", "--manifest", manifest, "--config", cfg, "--out", str(tmp_path / "x"),
         ]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["cv", "--k-dp", "0"],
+        ["cv", "--k-rci", "-3"],
+        ["cv", "--folds", "0"],
+        ["cv", "--dp-size", "0"],
+        ["cv", "--rci-size", "0"],
+        ["cv", "--reference-fraction", "1.5"],
+        ["cv", "--reference-fraction", "0"],
+        ["cv", "--reference-fraction", "nan"],
+        ["build-dict", "--modality", "dp", "--k", "0"],
+        ["pls-select", "--n-repeats", "0"],
+        ["pls-select", "--lv-max", "0"],
+        ["train", "--modality", "median-spectrum", "--n-lv", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_count_or_fraction_flag_fails_before_any_cube_is_loaded(
+        self, manifest, tmp_path, no_cubes, capsys, argv
+    ):
+        assert cli.main([*argv, "--manifest", manifest, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and argv[-2] in err[0]
+
+    @pytest.mark.parametrize("doc", [
+        {"k-dp": 0}, {"folds": 0}, {"rci-size": -1}, {"reference-fraction": 1.5},
+        {"n-repeats": 0}, {"lv-max": 0},
+    ])
+    def test_bad_count_or_fraction_in_config_fails_before_any_cube_is_loaded(
+        self, manifest, tmp_path, no_cubes, capsys, doc
+    ):
+        cfg = self.write(tmp_path, doc)
+        assert cli.main([
+            "pls-select", "--manifest", manifest, "--config", cfg, "--out", str(tmp_path / "x"),
+        ]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "is not valid for" in err[0]
+
+    def test_one_fold_still_trains(self, manifest, tmp_path):
+        assert cli.main([
+            "train", "--manifest", manifest, "--modality", "median-spectrum",
+            "--folds", "1", "--out", str(tmp_path / "pls.json"),
+        ]) == 0
+
     def test_keys_of_other_subcommands_are_ignored(self, tmp_path):
         cfg = self.write(tmp_path, {"task": "bogus", "modality": 7})
         assert cli.main([
@@ -429,6 +519,17 @@ class TestGrid:
         rows = read_rows(outputs[0])
         assert len(rows) == 1 + 1 * 1 * (2 + 2 * 1)
 
+    def test_clusters_only_the_requested_dictionary_sizes(
+        self, manifest, monkeypatch, tmp_path
+    ):
+        work = count_route_work(monkeypatch)
+        assert cli.main([
+            "grid", "--manifest", manifest, "--task", "nc-c", "--out", str(tmp_path / "g.csv"),
+            "--dp-sizes", "8,10", "--rci-sizes", "4", "--c-grid", "1.0",
+            "--kernels", "linear", *PIPE_FLAGS,
+        ]) == 0
+        assert work["kmeans"] == [("dp", 8), ("dp", 10), ("rci", 4)]
+
 
     @pytest.mark.parametrize("flags", [
         ["--kernels", ""],
@@ -438,6 +539,8 @@ class TestGrid:
         ["--kernels", "poly"],
         ["--c-grid=-1"],
         ["--gamma-grid=0"],
+        ["--dp-sizes", "0,8"],
+        ["--rci-sizes=-4"],
     ])
     def test_empty_or_invalid_grid_fails_before_any_cube_is_loaded(
         self, manifest, no_cubes, capsys, tmp_path, flags

@@ -59,7 +59,7 @@ class TestPreparation:
         assert np.array_equal(got.intensities, expected.intensities)
 
     def test_sample_descriptors_shapes(self, descriptors):
-        dp, rci = descriptors.dp_descriptors[0], descriptors.rci_descriptors[0]
+        dp, rci = descriptors.routes["dp"][0], descriptors.routes["rci"][0]
         assert dp.ndim == 2 and dp.shape[1] == 128 and len(dp) >= 1
         assert rci.ndim == 2 and rci.shape[1] == 128 and len(rci) >= 1
 
@@ -141,8 +141,8 @@ class TestTaskRecords:
 class TestTwoStageFeatures:
     def test_extract_covers_every_sample(self, descriptors, cohort):
         n = len(cohort.samples)
-        assert len(descriptors.dp_descriptors) == n
-        assert len(descriptors.rci_descriptors) == n
+        assert set(descriptors.routes) == {"dp", "rci"}
+        assert all(len(table) == n for table in descriptors.routes.values())
         assert descriptors.medians.shape == (n, COHORT["n_bands"])
 
     def test_medians_identical_without_image_routes(self, descriptors, cohort):
@@ -150,8 +150,25 @@ class TestTwoStageFeatures:
             cohort, "nc-c", CONFIG, routes=()
         )
         assert np.array_equal(light.medians, descriptors.medians)
-        assert all(d.shape == (0, 128) for d in light.dp_descriptors)
-        assert all(d.shape == (0, 128) for d in light.rci_descriptors)
+        assert light.routes == {}
+        assert experiments.partition_features(light, seed=0).histograms == {}
+
+    @pytest.mark.parametrize("route", ["dp", "rci"])
+    def test_one_route_features_equal_that_route_of_both(
+        self, cohort, descriptors, features, route
+    ):
+        one = experiments.extract_cohort(cohort, "nc-c", CONFIG, routes=(route,))
+        assert set(one.routes) == {route}
+        pairs = zip(one.routes[route], descriptors.routes[route])
+        assert all(np.array_equal(a, b) for a, b in pairs)
+        one_features = experiments.partition_features(one, seed=0)
+        assert set(one_features.histograms) == {route}
+        assert one_features.matrix(route).tobytes() == features.matrix(route).tobytes()
+        other = "rci" if route == "dp" else "dp"
+        with pytest.raises(ValueError, match=f"no {other} histograms"):
+            one_features.matrix("fused")
+        with pytest.raises(ValueError, match=f"no {other} histograms"):
+            one_features.matrix(other)
 
     def test_partition_is_complete_and_leak_free(self, features, descriptors):
         n_cls = len(features.y)
@@ -171,7 +188,7 @@ class TestTwoStageFeatures:
             if r.patient_id in reference
         ]
         assert list(features.reference_rows) == ref_rows
-        want_dp = sum(len(descriptors.dp_descriptors[i]) for i in ref_rows)
+        want_dp = sum(len(descriptors.routes["dp"][i]) for i in ref_rows)
         assert len(descriptors.pool("dp", features.reference_rows)) == want_dp
 
     def test_classification_views_are_row_selections(self, features, descriptors):
@@ -207,11 +224,6 @@ class TestTwoStageFeatures:
         bare = experiments.partition_features(descriptors, seed=0, build_dictionaries=False)
         with pytest.raises(ValueError):
             bare.matrix("fused")
-
-    def test_one_step_builder_equals_two_stages(self, cohort, features):
-        combined = experiments.build_cohort_features(cohort, "nc-c", CONFIG, seed=0)
-        assert combined.plan == features.plan
-        assert np.array_equal(combined.matrix("fused"), features.matrix("fused"))
 
     def test_partition_seed_changes_the_split(self, descriptors, features):
         other = experiments.partition_features(descriptors, seed=1)

@@ -1,6 +1,7 @@
 """Classifier tests: analytic margin geometry, an exhaustive dual-QP oracle,
 probability calibration behaviour, and grid-search bookkeeping."""
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from ramanfuse.errors import (
     CalibrationFailed,
     DegenerateKernel,
     DimMismatch,
+    MalformedFile,
     SingleClass,
 )
 
@@ -245,6 +247,25 @@ class TestDecisionPredict:
         probe = rng.normal(size=(10, 4))
         assert np.array_equal(svm.decision(model, probe), svm.decision(loaded, probe))
         assert np.array_equal(svm.predict_proba(model, probe), svm.predict_proba(loaded, probe))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: p["dual_coef"].pop(),
+        lambda p: p["dual_coef"].__setitem__(0, float("nan")),
+        lambda p: p.__setitem__("kernel", "poly"),
+        lambda p: p.__setitem__("support_vectors", p["support_vectors"][0]),
+        lambda p: p.__setitem__("platt_a", float("inf")),
+    ], ids=["dropped-coef", "nan-coef", "poly-kernel", "flat-vectors", "inf-platt"])
+    def test_malformed_payload_is_rejected_on_load(self, tmp_path, corrupt):
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.2]])
+        model = svm.calibrate(svm.train(X, np.array([-1.0, 1.0, 1.0, -1.0])), X,
+                              np.array([-1.0, 1.0, 1.0, -1.0]))
+        path = tmp_path / "clf.json"
+        dataio.save_model(model, path)
+        doc = json.loads(path.read_text())
+        corrupt(doc["payload"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFile):
+            dataio.load_model(path)
 
 
 def line_model():
