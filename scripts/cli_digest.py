@@ -1,11 +1,19 @@
-"""Byte digest of the command line's outputs on a fixed synthetic cohort.
+"""Byte digest of the command line's outputs on fixed synthetic cohorts.
 
-Generates `synth --n-patients 24 --n-samples 120 --seed 0` in a temporary
-directory, runs a fixed list of commands in-process through `cli.main`
-(working directory = the temporary directory, all paths relative), and
-prints:
+Generates two cohorts in a temporary directory and runs a fixed list of
+commands on each, in-process through `cli.main` (working directory = the
+temporary directory, all paths relative):
 
-* `sha256  out/<path>` for every file the commands wrote;
+* `synth --n-patients 24 --n-samples 120 --seed 0` (64 bands) through every
+  command, writing under `out/`;
+* `synth --n-patients 20 --n-samples 40 --n-bands 512 --image-size 32
+  --seed 0` through the median-spectrum route, writing under `out512/`.
+  Its 512 bands admit the fluorescence chains (301-point window) that 64
+  bands skip.
+
+It prints:
+
+* `sha256  <out dir>/<path>` for every file the commands wrote;
 * `sha256  <command>.stdout` per command, over its exit code and stdout;
 * `sha256  digest` over all lines above.
 
@@ -33,8 +41,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ramanfuse import cli  # noqa: E402
 
-COHORT = ["--n-patients", "24", "--n-samples", "120", "--seed", "0"]
-MANIFEST = ["--manifest", "cohort/manifest.txt"]
 DICTS = {"dp": ["--dp-dict", "out/dict_dp.json"], "rci": ["--rci-dict", "out/dict_rci.json"]}
 
 COMMANDS = [
@@ -52,6 +58,23 @@ COMMANDS = [
       for m in ("dp", "rci", "fused", "median-spectrum")],
     ("grid", ["grid", "--dp-sizes", "50,100", "--rci-sizes", "5,10", "--out", "out/grid.csv"]),
     ("pls-select", ["pls-select", "--n-repeats", "20", "--out", "out/pls.csv"]),
+]
+
+SPECTRAL_COMMANDS = [
+    ("median-spectrum-512", ["median-spectrum", "--out", "out512/median-spectrum"]),
+    ("pls-select-512", ["pls-select", "--n-repeats", "20", "--out", "out512/pls.csv"]),
+    ("cv-median-spectrum-512", ["cv", "--modality", "median-spectrum",
+                                "--pretreatment", "fluor+msc", "--out", "out512/cv"]),
+    ("train-median-spectrum-512", ["train", "--modality", "median-spectrum",
+                                   "--pretreatment", "fluor+sg:15:3:1",
+                                   "--out", "out512/train.json"]),
+]
+
+# (cohort directory, synth flags, commands, output directory)
+COHORTS = [
+    ("cohort", ["--n-patients", "24", "--n-samples", "120", "--seed", "0"], COMMANDS, "out"),
+    ("cohort512", ["--n-patients", "20", "--n-samples", "40", "--n-bands", "512",
+                   "--image-size", "32", "--seed", "0"], SPECTRAL_COMMANDS, "out512"),
 ]
 
 
@@ -72,15 +95,18 @@ def digest_lines() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            code, text = _run(["synth", "--out", "cohort", *COHORT])
-            if code != 0:
-                raise SystemExit(f"synth exited with code {code}")
-            for name, argv in COMMANDS:
-                code, text = _run([*argv, *MANIFEST])
-                stdout = f"exit {code}\n{text}".encode()
-                lines.append(f"{_sha(stdout)}  {name}.stdout")
-            files = sorted(p for p in Path("out").rglob("*") if p.is_file())
-            lines[:0] = [f"{_sha(p.read_bytes())}  {p.as_posix()}" for p in files]
+            for cohort, synth_flags, commands, out in COHORTS:
+                code, text = _run(["synth", "--out", cohort, *synth_flags])
+                if code != 0:
+                    raise SystemExit(f"synth exited with code {code}")
+                stdout_lines = []
+                for name, argv in commands:
+                    code, text = _run([*argv, "--manifest", f"{cohort}/manifest.txt"])
+                    stdout = f"exit {code}\n{text}".encode()
+                    stdout_lines.append(f"{_sha(stdout)}  {name}.stdout")
+                files = sorted(p for p in Path(out).rglob("*") if p.is_file())
+                lines += [f"{_sha(p.read_bytes())}  {p.as_posix()}" for p in files]
+                lines += stdout_lines
         finally:
             os.chdir(here)
     return lines

@@ -155,17 +155,6 @@ def kmeans(
     return VisualDictionary(centroids, modality, seed)
 
 
-def inertia(descriptors: np.ndarray, dictionary: VisualDictionary) -> float:
-    """Sum of squared distances to the nearest centroid.
-
-    Distances come from explicit differences, not the expanded quadratic form
-    used for assignment speed, so coincident points give exactly 0.
-    """
-    points = np.asarray(descriptors, dtype=np.float64)
-    labels, _ = _assign(points, dictionary.centroids)
-    return float(((points - dictionary.centroids[labels]) ** 2).sum())
-
-
 def encode_descriptors(descriptors: np.ndarray, dictionary: VisualDictionary) -> WordHistogram:
     """Histogram of raw visual-word counts for precomputed descriptors."""
     mat = np.asarray(descriptors, dtype=np.float64).reshape(-1, 128)

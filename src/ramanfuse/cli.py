@@ -645,7 +645,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest")
     p.add_argument("--out")
     p.add_argument("--task", choices=TASKS)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=_positive_int)
     p.add_argument("--dp-sizes", help="comma list of DP dictionary sizes")
     p.add_argument("--rci-sizes", help="comma list of RCI dictionary sizes")
     p.add_argument("--c-grid", help="comma list of C values")
@@ -661,7 +661,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-repeats", type=_positive_int)
     p.add_argument("--lv-max", type=_positive_int)
     p.add_argument("--pretreatments", help="comma list overriding the standard menu")
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=_positive_int)
     add_pipeline_flags(p)
 
     p = add("ttest", _cmd_ttest, "paired two-tail t-test between two value columns")

@@ -372,13 +372,6 @@ def save_mask(mask: np.ndarray, path) -> None:
     save_image(GreyImage(np.where(mask, 255, 0).astype(np.uint8)), path)
 
 
-def load_mask(path) -> np.ndarray:
-    img = load_image(path)
-    if not isinstance(img, GreyImage):
-        raise MalformedFile("mask file must be greyscale")
-    return img.pixels > 127
-
-
 # --- model persistence --------------------------------------------------------
 
 

@@ -287,8 +287,7 @@ def run_bovw_cv(
 
 def pls_fold_functions(pretreatment: spectral.PretreatmentSpec, n_lv: int):
     def fit(X, y01):
-        fitted = spectral.fit_pretreatment(pretreatment, X)
-        treated = fitted.apply(X)
+        fitted, treated = spectral.fit_pretreatment(pretreatment, X)
         cap = min(n_lv, len(X) - 1, treated.shape[1])
         return fitted, plsda.fit_pls(treated, y01, cap, pretreatment)
 

@@ -45,8 +45,11 @@ class PcaResult:
 def pca_scores(cube: HyperspectralCube, n_components: int) -> PcaResult:
     """PCA over the masked-in pixel spectra of one cube.
 
-    Spectra are mean-centred over the masked-in pixels only; loadings carry a
-    deterministic sign (largest-magnitude entry positive).
+    Spectra are mean-centred over the masked-in pixels only. Loadings are the
+    eigenvectors of the band scatter matrix c.T @ c of the centred pixels c,
+    in descending eigenvalue order; exactly equal eigenvalues put the loading
+    whose largest-magnitude entry sits at the lower band first. Loadings carry
+    a deterministic sign (largest-magnitude entry positive).
     """
     n_bands = cube.data.shape[2]
     if not 1 <= n_components <= n_bands:
@@ -56,21 +59,23 @@ def pca_scores(cube: HyperspectralCube, n_components: int) -> PcaResult:
         raise TooFewPixels(
             f"need at least {n_components} masked-in pixels, got {flat.shape[0]}"
         )
-    mean = flat.mean(axis=0)
-    centred = flat - mean
-    u, s, vt = np.linalg.svd(centred, full_matrices=False)
-    pivot = np.argmax(np.abs(vt), axis=1)
-    signs = np.sign(vt[np.arange(len(s)), pivot])
+    centred = flat - flat.mean(axis=0)
+    scatter = centred.T @ centred
+    eigenvalues, vectors = np.linalg.eigh(scatter)
+    pivot = np.argmax(np.abs(vectors), axis=0)
+    keep = np.lexsort((pivot, -eigenvalues))[:n_components]
+    loadings = vectors.T[keep]
+    signs = np.sign(loadings[np.arange(n_components), pivot[keep]])
     signs[signs == 0] = 1.0
-    vt *= signs[:, None]
-    u *= signs[None, :]
+    loadings *= signs[:, None]
 
-    scores = u[:, :n_components] * s[:n_components]
     images = np.zeros((n_components,) + cube.mask.shape, dtype=np.float64)
-    images[:, cube.mask] = scores.T
-    total = float(np.sum(s**2))
-    explained = (s[:n_components] ** 2) / total if total > 0 else np.zeros(n_components)
-    return PcaResult(vt[:n_components].copy(), images, explained)
+    images[:, cube.mask] = loadings @ centred.T
+    total = float(np.trace(scatter))  # = ||c||_F^2, the summed pixel variance
+    explained = (
+        np.maximum(eigenvalues[keep], 0.0) / total if total > 0 else np.zeros(n_components)
+    )
+    return PcaResult(loadings, images, explained)
 
 
 # --- thresholding ----------------------------------------------------------

@@ -4,6 +4,7 @@ instead of once per task."""
 from __future__ import annotations
 
 import multiprocessing
+import os
 
 _shared = None  # set in worker processes only, by _install
 
@@ -18,14 +19,16 @@ def _call(fn, task):
 
 
 def parallel_map(fn, shared, tasks, jobs: int = 1) -> list:
-    """[fn(shared, task) for task in tasks], computed on `jobs` spawned
-    worker processes when jobs > 1. fn must be a module-level function;
-    shared, tasks and results must pickle."""
+    """[fn(shared, task) for task in tasks], computed on spawned worker
+    processes when jobs > 1: at most one per job, task and usable CPU.
+    fn must be a module-level function; shared, tasks and results must
+    pickle."""
     tasks = list(tasks)
-    if jobs <= 1 or len(tasks) < 2:
+    workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
+    if workers <= 1:
         return [fn(shared, task) for task in tasks]
     context = multiprocessing.get_context("spawn")
     with context.Pool(
-        processes=min(jobs, len(tasks)), initializer=_install, initargs=(shared,)
+        processes=workers, initializer=_install, initargs=(shared,)
     ) as pool:
         return pool.starmap(_call, [(fn, task) for task in tasks], chunksize=1)

@@ -184,16 +184,19 @@ def _split_indices(rng, y, train_count, max_tries=1000):
 
 
 def _repeat_metrics(shared, repeat):
-    """One split evaluated for every (pretreatment, LV count) cell."""
-    X, y, menu, lv_values, seed, train_count = shared
+    """One split evaluated for every (pretreatment, LV count) cell.
+
+    heads[m] is every sample through the stateless head of chain m; only the
+    chain's tail from its first MSC step on is fitted, on the training rows.
+    """
+    heads, tails, y, lv_values, seed, train_count = shared
     rng = rng_for(seed, "pls-select", repeat)
     train, test = _split_indices(rng, y, train_count)
     lv_max = max(lv_values)
-    cells = np.empty((len(menu), len(lv_values), 4))
-    for m_idx, spec in enumerate(menu):
-        fitted = spectral.fit_pretreatment(spec, X[train])
-        tr = fitted.apply(X[train])
-        te = fitted.apply(X[test])
+    cells = np.empty((len(tails), len(lv_values), 4))
+    for m_idx, (head, tail) in enumerate(zip(heads, tails)):
+        fitted, tr = spectral.fit_pretreatment(tail, head[train])
+        te = fitted.apply(head[test])
         x_mean = tr.mean(axis=0)
         y_mean = float(y[train].mean())
         cap = min(lv_max, len(train) - 1, tr.shape[1])
@@ -248,7 +251,11 @@ def select_pls_model(
     if train_count < 2 or len(y) - train_count < 2:
         raise InsufficientClassCoverage("too few samples for the requested split")
 
-    shared = (X, y, menu, lv_values, seed, train_count)
+    # A stateless head transforms each row alone, so it runs once on all
+    # samples and each split indexes its rows: the same bits as per split.
+    heads, tails = zip(*(spec.split_at_msc() for spec in menu))
+    heads = [spectral.fit_pretreatment(head, X)[1] for head in heads]
+    shared = (heads, tails, y, lv_values, seed, train_count)
     means = np.mean(parallel_map(_repeat_metrics, shared, range(n_repeats), jobs), axis=0)
 
     rows = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -53,16 +54,20 @@ def snv(x: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
+@lru_cache(maxsize=4096)
 def _savgol_weights(left: int, right: int, poly_order: int, deriv_order: int) -> np.ndarray:
     """Least-squares filter weights for offsets -left..right evaluated at 0.
 
     The fitted polynomial's deriv_order-th derivative at the centre equals
-    weights @ values (unit sample spacing).
+    weights @ values (unit sample spacing). Cached, so read-only: a filter of
+    window w needs w weight vectors (centre plus edge fits) on every call.
     """
     offsets = np.arange(-left, right + 1, dtype=np.float64)
     A = np.vander(offsets, poly_order + 1, increasing=True)
     pinv = np.linalg.pinv(A)
-    return math.factorial(deriv_order) * pinv[deriv_order]
+    weights = math.factorial(deriv_order) * pinv[deriv_order]
+    weights.flags.writeable = False
+    return weights
 
 
 def savitzky_golay(x: np.ndarray, window: int, poly_order: int, deriv_order: int = 0) -> np.ndarray:
@@ -159,6 +164,16 @@ class PretreatmentSpec:
     def __str__(self):
         return "+".join(str(s) for s in self.steps) if self.steps else "none"
 
+    def split_at_msc(self) -> tuple["PretreatmentSpec", "PretreatmentSpec"]:
+        """(head, tail): the chain cut before its first MSC step. The head is
+        stateless, so it transforms a spectrum the same way whatever the
+        training set; only the tail has state to fit."""
+        cut = next(
+            (i for i, step in enumerate(self.steps) if isinstance(step, MscStep)),
+            len(self.steps),
+        )
+        return PretreatmentSpec(self.steps[:cut]), PretreatmentSpec(self.steps[cut:])
+
     @property
     def min_length(self) -> int:
         """Shortest spectrum the chain can process (widest filter window)."""
@@ -230,8 +245,11 @@ def _apply_step(step, x, reference):
     raise TypeError(f"unknown step {step!r}")
 
 
-def fit_pretreatment(spec: PretreatmentSpec, X: np.ndarray) -> FittedPretreatment:
-    """Learn chain state on training spectra (rows of X).
+def fit_pretreatment(
+    spec: PretreatmentSpec, X: np.ndarray
+) -> tuple[FittedPretreatment, np.ndarray]:
+    """Learn chain state on training spectra (rows of X); returns the fitted
+    chain and X transformed by it (equal to its apply(X), computed once).
 
     MSC references are the mean training spectrum in the space reached by the
     preceding steps; stateless steps record None.
@@ -239,14 +257,10 @@ def fit_pretreatment(spec: PretreatmentSpec, X: np.ndarray) -> FittedPretreatmen
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     references = []
     for step in spec.steps:
-        if isinstance(step, MscStep):
-            ref = X.mean(axis=0)
-            references.append(ref)
-            X = _apply_step(step, X, ref)
-        else:
-            references.append(None)
-            X = _apply_step(step, X, None)
-    return FittedPretreatment(spec, tuple(references))
+        ref = X.mean(axis=0) if isinstance(step, MscStep) else None
+        references.append(ref)
+        X = _apply_step(step, X, ref)
+    return FittedPretreatment(spec, tuple(references)), X
 
 
 # --- cube-level operations -----------------------------------------------------

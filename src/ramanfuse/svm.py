@@ -266,14 +266,6 @@ def predict(model: SvmModel, x: np.ndarray):
     return np.where(d >= 0, 1, -1)
 
 
-def dual_objective(model: SvmModel) -> float:
-    """Dual value achieved by the stored coefficients (zeros omitted)."""
-    coef = model.dual_coef
-    alpha = np.abs(coef)
-    k = _kernel_matrix(model.support_vectors, model.support_vectors, model.kernel, model.gamma)
-    return float(alpha.sum() - 0.5 * coef @ k @ coef)
-
-
 def predict_proba(model: SvmModel, x: np.ndarray):
     """Calibrated P(positive); requires a calibrated model."""
     if model.platt_a is None:

@@ -15,6 +15,8 @@ from ramanfuse import bovw, cli, dataio, evaluation, experiments, imaging
 from ramanfuse import plsda, sift, spectral, svm, synth
 from ramanfuse.dataio import GreyImage
 
+from test_svm import dual_objective
+
 _CAPTURE = None
 
 
@@ -228,7 +230,7 @@ def test_04_smo_matches_projected_gradient_and_analytic_boundary():
         kind = "linear" if trial % 2 == 0 else "rbf"
         gamma = float(rng.choice([0.5, 1.0])) if kind == "rbf" else 1.0
         model = svm.train(X, y, svm.SvmConfig(C=C, kernel=kind, gamma=gamma, tol=1e-8))
-        d_smo = svm.dual_objective(model)
+        d_smo = dual_objective(model)
         d_pg = _projected_gradient_dual(_dense_kernel(X, kind, gamma), y, C)
         worst_gap = max(worst_gap, abs(d_smo - d_pg) / max(1.0, abs(d_pg)))
 

@@ -9,8 +9,8 @@ from ramanfuse.bovw import (
     WordHistogram,
     encode_descriptors,
     feature_vector,
+    _assign,
     fuse,
-    inertia,
     kmeans,
 )
 from ramanfuse.dataio import GreyImage
@@ -18,6 +18,17 @@ from ramanfuse.errors import ModalityMismatch, TooFewDescriptors
 from ramanfuse.sift import descriptor_matrix, extract
 
 from test_sift import blob_field
+
+
+def inertia(descriptors: np.ndarray, dictionary: VisualDictionary) -> float:
+    """Sum of squared distances to the nearest centroid.
+
+    Distances come from explicit differences, not the expanded quadratic form
+    used for assignment speed, so coincident points give exactly 0.
+    """
+    points = np.asarray(descriptors, dtype=np.float64)
+    labels, _ = _assign(points, dictionary.centroids)
+    return float(((points - dictionary.centroids[labels]) ** 2).sum())
 
 
 def quantize(descriptor, dictionary):

@@ -459,6 +459,8 @@ class TestConfigValidation:
         ["build-dict", "--modality", "dp", "--k", "0"],
         ["pls-select", "--n-repeats", "0"],
         ["pls-select", "--lv-max", "0"],
+        ["pls-select", "--jobs", "0"],
+        ["grid", "--jobs", "0"],
         ["train", "--modality", "median-spectrum", "--n-lv", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_count_or_fraction_flag_fails_before_any_cube_is_loaded(
@@ -470,7 +472,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("doc", [
         {"k-dp": 0}, {"folds": 0}, {"rci-size": -1}, {"reference-fraction": 1.5},
-        {"n-repeats": 0}, {"lv-max": 0},
+        {"n-repeats": 0}, {"lv-max": 0}, {"jobs": 0}, {"jobs": -1},
     ])
     def test_bad_count_or_fraction_in_config_fails_before_any_cube_is_loaded(
         self, manifest, tmp_path, no_cubes, capsys, doc
@@ -481,6 +483,16 @@ class TestConfigValidation:
         ]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "is not valid for" in err[0]
+
+    @pytest.mark.parametrize("command", ["grid", "pls-select"])
+    def test_negative_jobs_fails_before_any_cube_is_loaded(
+        self, manifest, tmp_path, no_cubes, capsys, command
+    ):
+        out = tmp_path / "x.csv"
+        assert cli.main([command, "--jobs=-1", "--manifest", manifest, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--jobs" in err[0]
+        assert not out.exists()
 
     def test_one_fold_still_trains(self, manifest, tmp_path):
         assert cli.main([

@@ -208,7 +208,9 @@ class TestImages:
         mask = np.array([[True, False], [False, True]])
         path = tmp_path / "m.pgm"
         dataio.save_mask(mask, path)
-        assert np.array_equal(dataio.load_mask(path), mask)
+        back = dataio.load_image(path)
+        assert isinstance(back, GreyImage)
+        assert np.array_equal(back.pixels, np.where(mask, 255, 0))
 
 
 class TestModelEnvelope:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.ndimage
 
-from ramanfuse.dataio import GreyImage, HyperspectralCube, RgbImage
+from ramanfuse import imaging, synth
+from ramanfuse.dataio import GreyImage, HyperspectralCube, RgbImage, load_cube
 from ramanfuse.errors import (
     ConstantImage,
     DimMismatch,
@@ -12,6 +13,7 @@ from ramanfuse.errors import (
     TooFewPixels,
 )
 from ramanfuse.imaging import (
+    PcaResult,
     background_mask,
     composite_mask,
     histogram_equalize,
@@ -29,7 +31,86 @@ def random_cube(rng, h=6, w=7, b=10):
     return HyperspectralCube(wavenumbers=np.arange(b, dtype=float), data=data)
 
 
+def pca_oracle(cube, n_components):
+    """PCA by a thin SVD of the centred pixel matrix, with the same sign rule."""
+    flat = cube.data[cube.mask]
+    mean = flat.mean(axis=0)
+    centred = flat - mean
+    u, s, vt = np.linalg.svd(centred, full_matrices=False)
+    pivot = np.argmax(np.abs(vt), axis=1)
+    signs = np.sign(vt[np.arange(len(s)), pivot])
+    signs[signs == 0] = 1.0
+    vt *= signs[:, None]
+    u *= signs[None, :]
+
+    scores = u[:, :n_components] * s[:n_components]
+    images = np.zeros((n_components,) + cube.mask.shape, dtype=np.float64)
+    images[:, cube.mask] = scores.T
+    total = float(np.sum(s**2))
+    explained = (s[:n_components] ** 2) / total if total > 0 else np.zeros(n_components)
+    return PcaResult(vt[:n_components].copy(), images, explained)
+
+
+def assert_matches_oracle(cube, n_components, rel=1e-9):
+    """Loadings (unit rows) to rel absolute, scores to rel of the cube's
+    largest score, explained fractions to rel of each fraction."""
+    got, want = pca_scores(cube, n_components), pca_oracle(cube, n_components)
+    assert np.abs(got.loadings - want.loadings).max() <= rel
+    scale = np.abs(want.score_images).max()
+    assert np.abs(got.score_images - want.score_images).max() <= rel * scale
+    assert np.all(
+        np.abs(got.explained_variance - want.explained_variance)
+        <= rel * want.explained_variance
+    )
+
+
+def synth_cubes(tmp_path, seed, n_bands):
+    manifest = synth.generate(
+        synth.SynthSpec(n_patients=3, n_samples=8, dp_size=16, n_bands=n_bands, seed=seed),
+        tmp_path / f"cohort{seed}_{n_bands}",
+    )
+    return [load_cube(r.rci_path) for r in manifest.samples]
+
+
 class TestPca:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_svd_oracle_on_random_cubes(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        assert_matches_oracle(random_cube(rng, h=9, w=8, b=12), 5)
+
+    @pytest.mark.parametrize("n_bands", [64, 512])
+    def test_matches_svd_oracle_on_synth_cubes(self, tmp_path, n_bands):
+        for cube in synth_cubes(tmp_path, 0, n_bands):
+            assert_matches_oracle(cube, 3)
+
+    def test_fewer_pixels_than_bands(self):
+        rng = np.random.default_rng(8)
+        mask = np.zeros((3, 4), dtype=bool)
+        mask[:2, :3] = True  # 6 pixels, 20 bands
+        cube = HyperspectralCube(np.arange(20.0), rng.normal(size=(3, 4, 20)), mask=mask)
+        assert_matches_oracle(cube, 4)
+        assert pca_scores(cube, 6).loadings.shape == (6, 20)
+        with pytest.raises(TooFewPixels):
+            pca_scores(cube, 7)
+
+    @pytest.mark.parametrize("tied,weaker", [((2, 0), 1), ((3, 1), 2)])
+    def test_equal_variance_components_ordered_by_pivot_band(self, tied, weaker):
+        # Two bands carry equal variance and a third less: the tie puts the
+        # loading whose largest entry sits at the lower band first. (eigh
+        # returns the tied pair in opposite orders for these two layouts.)
+        spectra = np.zeros((6, 4))
+        spectra[0, tied[0]], spectra[1, tied[0]] = 3.0, -3.0
+        spectra[2, tied[1]], spectra[3, tied[1]] = 3.0, -3.0
+        spectra[4, weaker], spectra[5, weaker] = 2.0, -2.0
+        cube = HyperspectralCube(np.arange(4.0), spectra.reshape(2, 3, 4))
+        first = pca_scores(cube, 3)
+        assert np.array_equal(first.loadings, np.eye(4)[[min(tied), max(tied), weaker]])
+        assert first.explained_variance[0] == first.explained_variance[1]
+        for _ in range(5):
+            again = pca_scores(cube, 3)
+            assert np.array_equal(again.loadings, first.loadings)
+            assert np.array_equal(again.score_images, first.score_images)
+
     def test_rank_one_cube(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=12)
@@ -390,3 +471,13 @@ class TestBackgroundMask:
         res = background_mask(cube)
         scores = pca_scores(cube, res.component + 1).score_images[res.component]
         assert np.array_equal(res.mask, scores > res.threshold)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_mask_as_svd_split_on_synth_cubes(self, tmp_path, monkeypatch, seed):
+        cubes = synth_cubes(tmp_path, seed, 512)
+        got = [background_mask(cube) for cube in cubes]
+        monkeypatch.setattr(imaging, "pca_scores", pca_oracle)
+        for cube, res in zip(cubes, got):
+            want = background_mask(cube)
+            assert np.array_equal(res.mask, want.mask)
+            assert res.component == want.component

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ramanfuse import dataio, plsda, spectral
+from ramanfuse.seeds import rng_for
 from ramanfuse.errors import (
     DimMismatch,
     InsufficientClassCoverage,
@@ -188,7 +189,68 @@ def baseline_peak_spectra(seed, n=40, p=401):
     return X, y
 
 
+def per_split_cells(shared, repeat):
+    """Selection cells with every chain fitted and applied on each split
+    from scratch: the chain runs on the training rows twice and on the test
+    rows once, per split."""
+    X, y, menu, lv_values, seed, train_count = shared
+    rng = rng_for(seed, "pls-select", repeat)
+    train, test = plsda._split_indices(rng, y, train_count)
+    lv_max = max(lv_values)
+    cells = np.empty((len(menu), len(lv_values), 4))
+    for m_idx, spec in enumerate(menu):
+        fitted, _ = spectral.fit_pretreatment(spec, X[train])
+        tr = fitted.apply(X[train])
+        te = fitted.apply(X[test])
+        x_mean = tr.mean(axis=0)
+        y_mean = float(y[train].mean())
+        cap = min(lv_max, len(train) - 1, tr.shape[1])
+        weights, loadings, q = plsda._nipals_path(
+            tr - x_mean, y[train] - y_mean, cap, strict=False
+        )
+        residual = te - x_mean
+        score = np.full(len(test), y_mean)
+        by_depth = {0: score.copy()}
+        for a in range(weights.shape[1]):
+            t = residual @ weights[:, a]
+            residual = residual - np.outer(t, loadings[:, a])
+            score = score + q[a] * t
+            by_depth[a + 1] = score.copy()
+        truth = y[test]
+        pos = truth == 1
+        neg = ~pos
+        for l_idx, n_lv in enumerate(lv_values):
+            depth = min(n_lv, weights.shape[1])
+            s = by_depth[depth]
+            pred = s >= 0.5
+            sens = float((pred & pos).sum() / pos.sum())
+            spec_ = float((~pred & neg).sum() / neg.sum())
+            acc = float((pred == pos).mean())
+            cells[m_idx, l_idx] = (sens * spec_, acc, sens, spec_)
+    return cells
+
+
+def per_split_rows(X, y, menu, lv_values, n_repeats, seed, split=0.7):
+    train_count = int(np.floor(split * len(y) + 0.5))
+    shared = (X, y, menu, lv_values, seed, train_count)
+    means = np.mean([per_split_cells(shared, r) for r in range(n_repeats)], axis=0)
+    return tuple(
+        (str(spec), n_lv, *(float(v) for v in means[m_idx, l_idx]))
+        for m_idx, spec in enumerate(menu)
+        for l_idx, n_lv in enumerate(lv_values)
+    )
+
+
 class TestSelection:
+    def test_rows_equal_per_split_pretreatment(self):
+        X, y = baseline_peak_spectra(21, n=40, p=512)
+        menu = spectral.standard_menu()
+        assert {"msc", "fluor+msc"} <= {str(m) for m in menu}
+        result = plsda.select_pls_model(X, y, menu=menu, n_repeats=5, seed=4)
+        expect = per_split_rows(X, y, menu, plsda.DEFAULT_LV_RANGE, 5, 4)
+        assert len(result.rows) == 14 * len(plsda.DEFAULT_LV_RANGE)
+        assert result.rows == expect
+
     def test_single_cell_menu_returns_it(self):
         X, y = random_problem(14, n=30)
         menu = [spectral.parse_pretreatment("none")]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramanfuse import spectral
 from ramanfuse.dataio import HyperspectralCube
 from ramanfuse.errors import DegenerateFit, EmptyMask, SpectrumTooShort, ZeroVariance
 from ramanfuse.spectral import (
@@ -116,6 +117,14 @@ class TestSavitzkyGolay:
         rows = np.stack([savitzky_golay(r, 15, 3, 2) for r in X])
         assert np.allclose(savitzky_golay(X, 15, 3, 2), rows)
 
+    def test_cached_weights_are_read_only(self):
+        savitzky_golay(np.zeros(40), 15, 3, 1)
+        for args in [(7, 7, 3, 1), (0, 7, 3, 1), (7, 3, 3, 1)]:
+            weights = spectral._savgol_weights(*args)
+            assert weights is spectral._savgol_weights(*args)
+            with pytest.raises(ValueError):
+                weights[0] = 1.0
+
 
 class TestMsc:
     def test_affine_distortion_recovered(self):
@@ -187,13 +196,13 @@ class TestPretreatmentChains:
 
     def test_none_chain_is_identity(self):
         X = np.random.default_rng(9).normal(size=(3, 400))
-        fitted = fit_pretreatment(parse_pretreatment("none"), X)
+        fitted, _ = fit_pretreatment(parse_pretreatment("none"), X)
         assert np.allclose(fitted.apply(X[0]), X[0])
 
     def test_msc_reference_learned_from_training_mean(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(5, 60)).cumsum(axis=1)
-        fitted = fit_pretreatment(parse_pretreatment("msc"), X)
+        fitted, _ = fit_pretreatment(parse_pretreatment("msc"), X)
         ref = X.mean(axis=0)
         new = 2.0 * ref + 5.0
         assert np.allclose(fitted.apply(new), msc(new, ref))
@@ -201,14 +210,28 @@ class TestPretreatmentChains:
     def test_chain_applies_steps_in_order(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(4, 400)).cumsum(axis=1)
-        fitted = fit_pretreatment(parse_pretreatment("snv+sg:15:3:1"), X)
+        fitted, _ = fit_pretreatment(parse_pretreatment("snv+sg:15:3:1"), X)
         expect = savitzky_golay(snv(X[2]), 15, 3, 1)
         assert np.allclose(fitted.apply(X[2]), expect)
+
+    def test_fit_returns_training_rows_through_the_fitted_chain(self):
+        rng = np.random.default_rng(13)
+        X = 5.0 + rng.normal(size=(12, 512)).cumsum(axis=1) / 20.0
+        for spec in standard_menu():
+            fitted, treated = fit_pretreatment(spec, X)
+            assert np.array_equal(treated, fitted.apply(X)), str(spec)
+
+    def test_split_at_msc(self):
+        cases = {"none": ("none", "none"), "snv+sg:15:3:1": ("snv+sg:15:3:1", "none"),
+                 "msc": ("none", "msc"), "fluor+msc+snv+msc": ("fluor", "msc+snv+msc")}
+        for text, (head, tail) in cases.items():
+            got = parse_pretreatment(text).split_at_msc()
+            assert (str(got[0]), str(got[1])) == (head, tail)
 
     def test_fitted_chain_is_reusable_and_pure(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(3, 350)).cumsum(axis=1)
-        fitted = fit_pretreatment(parse_pretreatment("fluor+msc"), X)
+        fitted, _ = fit_pretreatment(parse_pretreatment("fluor+msc"), X)
         x = rng.normal(size=350).cumsum()
         first = fitted.apply(x)
         second = fitted.apply(x)
