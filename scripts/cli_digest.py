@@ -5,7 +5,9 @@ commands on each, in-process through `cli.main` (working directory = the
 temporary directory, all paths relative):
 
 * `synth --n-patients 24 --n-samples 120 --seed 0` (64 bands) through every
-  command, writing under `out/`;
+  command, writing under `out/`; `cv`, `grid` and `pls-select` run once more
+  with values from a `--config` file (JSON lists included), and `ttest`
+  and `report` read the `cv` reports;
 * `synth --n-patients 20 --n-samples 40 --n-bands 512 --image-size 32
   --seed 0` through the median-spectrum route, writing under `out512/`.
   Its 512 bands admit the fluorescence chains (301-point window) that 64
@@ -31,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -58,7 +61,28 @@ COMMANDS = [
       for m in ("dp", "rci", "fused", "median-spectrum")],
     ("grid", ["grid", "--dp-sizes", "50,100", "--rci-sizes", "5,10", "--out", "out/grid.csv"]),
     ("pls-select", ["pls-select", "--n-repeats", "20", "--out", "out/pls.csv"]),
+    ("cv-config", ["cv", "--config", "config/cv.json", "--out", "out/cv_config"]),
+    ("grid-config", ["grid", "--config", "config/grid.json", "--out", "out/grid_config.csv"]),
+    ("pls-select-config", ["pls-select", "--config", "config/pls.json",
+                           "--out", "out/pls_config.csv"]),
+    ("ttest", ["ttest", "--a", "out/cv_fused/metrics_set0.csv",
+               "--b", "out/cv_median-spectrum/metrics_set0.csv", "--out", "out/ttest.csv"]),
+    ("report", ["report", "--inputs", ",".join(f"out/cv_{m}/summary.csv" for m in (
+        "dp", "rci", "fused", "median-spectrum", "config")), "--out", "out/report.csv"]),
 ]
+
+# Config files written under config/ before the commands run.
+CONFIGS = {
+    "cv.json": {"task": "g3-g4", "modality": "fused", "k-dp": 40, "k-rci": 8, "folds": 4,
+                "reference-fraction": 0.25, "kernel": "linear", "c": 2.5, "seed": 5},
+    "grid.json": {"dp-sizes": [20, 40], "rci-sizes": [6], "c-grid": [0.5, 8],
+                  "gamma-grid": [1, 4.0], "kernels": ["linear", "rbf"], "seed": 2},
+    "pls.json": {"task": "g3-g4", "pretreatments": ["none", "snv", "sg:9:2:1+msc"],
+                 "n-repeats": 12, "lv-max": 6, "seed": 3},
+}
+
+# Commands that read no manifest.
+NO_MANIFEST = {"ttest", "report"}
 
 SPECTRAL_COMMANDS = [
     ("median-spectrum-512", ["median-spectrum", "--out", "out512/median-spectrum"]),
@@ -94,6 +118,9 @@ def digest_lines() -> list[str]:
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        Path("config").mkdir()
+        for name, doc in CONFIGS.items():
+            Path("config", name).write_text(json.dumps(doc))
         try:
             for cohort, synth_flags, commands, out in COHORTS:
                 code, text = _run(["synth", "--out", cohort, *synth_flags])
@@ -101,7 +128,9 @@ def digest_lines() -> list[str]:
                     raise SystemExit(f"synth exited with code {code}")
                 stdout_lines = []
                 for name, argv in commands:
-                    code, text = _run([*argv, "--manifest", f"{cohort}/manifest.txt"])
+                    if argv[0] not in NO_MANIFEST:
+                        argv = [*argv, "--manifest", f"{cohort}/manifest.txt"]
+                    code, text = _run(argv)
                     stdout = f"exit {code}\n{text}".encode()
                     stdout_lines.append(f"{_sha(stdout)}  {name}.stdout")
                 files = sorted(p for p in Path(out).rglob("*") if p.is_file())

@@ -55,6 +55,75 @@ def _open_fraction(text: str) -> float:
     return float(text)
 
 
+def _list(typ):
+    """argparse type of a comma-list flag whose items have type typ."""
+
+    def parse(text: str) -> list:
+        return [typ(v) for v in text.split(",") if v.strip()]
+
+    parse.__name__ = f"{typ.__name__} list"
+    return parse
+
+
+_PIPELINE = experiments.PipelineConfig()
+_SYNTH = synth.SynthSpec()
+
+# Every long flag, declared once as its add_argument keywords. A flag without
+# a default is either checked for by its handler or, for --k, --pretreatment,
+# --n-lv and --pretreatments, derived there from other values.
+FLAGS = {
+    "config": dict(help="JSON file of default flag values"),
+    "seed": dict(type=int, default=0, help="root random seed (default 0)"),
+    "manifest": dict(help="cohort manifest file"),
+    "out": dict(help="output file or directory"),
+    "task": dict(choices=TASKS, default="nc-c"),
+    "modality": dict(choices=MODALITIES, default="fused"),
+    "n-patients": dict(type=_positive_int, default=_SYNTH.n_patients),
+    "n-samples": dict(type=_positive_int, default=_SYNTH.n_samples),
+    "dp-signal": dict(type=float, default=_SYNTH.dp_signal),
+    "rci-signal": dict(type=float, default=_SYNTH.rci_signal),
+    "image-size": dict(type=_positive_int, default=_SYNTH.dp_size,
+                       help="pathology image edge length"),
+    "cube-size": dict(type=_positive_int, default=_SYNTH.rci_size,
+                      help="hyperspectral cube edge length"),
+    "n-bands": dict(type=_positive_int, default=_SYNTH.n_bands),
+    "dp-size": dict(type=_positive_int, default=_PIPELINE.dp_size),
+    "rci-size": dict(type=_positive_int, default=_PIPELINE.rci_size),
+    "k-dp": dict(type=_positive_int, default=_PIPELINE.k_dp),
+    "k-rci": dict(type=_positive_int, default=_PIPELINE.k_rci),
+    "folds": dict(type=_positive_int, default=_PIPELINE.folds),
+    "reference-fraction": dict(type=_open_fraction, default=_PIPELINE.reference_fraction),
+    "k": dict(type=_positive_int, help="dictionary size (default: --k-dp or --k-rci)"),
+    "dp-dict": dict(help="DP dictionary file"),
+    "rci-dict": dict(help="RCI dictionary file"),
+    "kernel": dict(choices=svm.KERNELS, default=_PIPELINE.svm_config.kernel),
+    "c": dict(type=float, default=_PIPELINE.svm_config.C),
+    "gamma": dict(type=float, default=_PIPELINE.svm_config.gamma),
+    "pretreatment": dict(help="pretreatment chain (default: the task's)"),
+    "n-lv": dict(type=_positive_int, help="latent variables (default: the task's)"),
+    "n-reference-sets": dict(type=int, choices=REFERENCE_SET_COUNTS, default=1),
+    "jobs": dict(type=_positive_int, default=1),
+    "dp-sizes": dict(type=_list(_positive_int), default=list(bovw.DP_DICTIONARY_SIZES),
+                     help="comma list of DP dictionary sizes"),
+    "rci-sizes": dict(type=_list(_positive_int), default=list(bovw.RCI_DICTIONARY_SIZES),
+                      help="comma list of RCI dictionary sizes"),
+    "c-grid": dict(type=_list(float), default=list(svm.C_GRID), help="comma list of C values"),
+    "gamma-grid": dict(type=_list(float), default=list(svm.GAMMA_GRID),
+                       help="comma list of gamma values"),
+    "kernels": dict(type=_list(str), default=list(svm.KERNELS),
+                    help="comma list from {linear,rbf}"),
+    "n-repeats": dict(type=_positive_int, default=200),
+    "lv-max": dict(type=_positive_int, default=max(plsda.DEFAULT_LV_RANGE)),
+    "pretreatments": dict(type=_list(str), help="comma list overriding the standard menu"),
+    "a": dict(help="CSV whose last column holds the first sample"),
+    "b": dict(help="CSV whose last column holds the second sample"),
+    "inputs": dict(type=_list(str), help="comma list of summary.csv files"),
+}
+PIPELINE_FLAGS = ("dp-size", "rci-size", "k-dp", "k-rci", "folds", "reference-fraction")
+SVM_FLAGS = ("kernel", "c", "gamma")
+PLS_FLAGS = ("pretreatment", "n-lv")
+
+
 # --- config handling ---------------------------------------------------------------
 
 
@@ -71,15 +140,18 @@ def _load_config(path) -> dict:
     return {str(k).replace("-", "_"): v for k, v in doc.items()}
 
 
-def _check_config(parser: argparse.ArgumentParser, config: dict) -> None:
-    """Hold each config-file value to the type and choices of the flag it
-    stands in for, so a bad value stops the run before any work."""
+def _check_config(parser: argparse.ArgumentParser, config: dict) -> dict:
+    """The config-file values of parser's flags, each converted and checked
+    by its flag's type and choices as on the command line (a JSON list as
+    its comma-joined items), so a bad value stops the run before any work."""
+    values = {}
     for action in parser._actions:
         if action.dest not in config:
             continue
         value = config[action.dest]
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         try:
-            checked = value if action.type is None else action.type(str(value))
+            checked = text if action.type is None else action.type(text)
             ok = action.choices is None or checked in action.choices
         except (TypeError, ValueError, argparse.ArgumentTypeError):
             ok = False
@@ -88,73 +160,52 @@ def _check_config(parser: argparse.ArgumentParser, config: dict) -> None:
                 f"{parser.prog}: error: config value {action.dest}={value!r} is not "
                 f"valid for {action.option_strings[-1]}"
             )
+        values[action.dest] = checked
+    return values
 
 
-def _opt(args, config: dict, name: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(name, default)
+def _pipeline_config(args) -> experiments.PipelineConfig:
+    dests = (flag.replace("-", "_") for flag in PIPELINE_FLAGS)
+    return replace(_PIPELINE, **{dest: getattr(args, dest) for dest in dests})
 
 
-def _list(value, typ) -> list:
-    """The items of a comma-list flag or a JSON-list config value, as typ."""
-    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
-    return [typ(v) for v in items if str(v).strip()]
+def _svm_config(args) -> svm.SvmConfig:
+    return svm.SvmConfig(C=args.c, kernel=args.kernel, gamma=args.gamma)
 
 
-def _pipeline_config(args, config) -> experiments.PipelineConfig:
-    base = experiments.PipelineConfig()
-    return replace(
-        base,
-        dp_size=int(_opt(args, config, "dp_size", base.dp_size)),
-        rci_size=int(_opt(args, config, "rci_size", base.rci_size)),
-        k_dp=int(_opt(args, config, "k_dp", base.k_dp)),
-        k_rci=int(_opt(args, config, "k_rci", base.k_rci)),
-        folds=int(_opt(args, config, "folds", base.folds)),
-        reference_fraction=float(
-            _opt(args, config, "reference_fraction", base.reference_fraction)
-        ),
-    )
-
-
-def _svm_config(args, config) -> svm.SvmConfig:
-    base = experiments.PipelineConfig().svm_config
-    kernel = str(_opt(args, config, "kernel", base.kernel))
-    return svm.SvmConfig(
-        C=float(_opt(args, config, "c", base.C)),
-        kernel=kernel,
-        gamma=float(_opt(args, config, "gamma", base.gamma)),
-    )
-
-
-def _pls_settings(args, config, task: str):
+def _pls_settings(args):
     """(pretreatment, latent variables) of the median-spectrum route."""
-    default_pre, default_lv = PLS_DEFAULTS[task]
-    pre = spectral.parse_pretreatment(str(_opt(args, config, "pretreatment", default_pre)))
-    return pre, int(_opt(args, config, "n_lv", default_lv))
+    default_pre, default_lv = PLS_DEFAULTS[args.task]
+    pre = default_pre if args.pretreatment is None else args.pretreatment
+    n_lv = default_lv if args.n_lv is None else args.n_lv
+    return spectral.parse_pretreatment(pre), n_lv
 
 
-def _load_task_manifest(args, config):
-    path = _opt(args, config, "manifest")
-    if path is None:
+def _load_task_manifest(args):
+    if args.manifest is None:
         raise _UsageError("a --manifest file is required")
-    return dataio.load_manifest(path)
+    return dataio.load_manifest(args.manifest)
 
 
-def _out_path(args, config, what: str) -> str:
-    """The required --out value; checked before a command does any work."""
-    out = _opt(args, config, "out")
-    if out is None:
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create the --out directory {path}: {exc.strerror}") from None
+    return path
+
+
+def _out_path(args, what: str) -> str:
+    """The required --out value, with its parent directory made; checked
+    before a command does any work."""
+    if not args.out:
         raise _UsageError(f"an --out {what} is required")
-    return out
+    _make_dir(Path(args.out).parent)
+    return args.out
 
 
-def _out_dir(args, config) -> Path:
-    out = Path(_out_path(args, config, "location"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(args) -> Path:
+    return _make_dir(Path(_out_path(args, "location")))
 
 
 def _write_csv(path, header: list, rows: list) -> None:
@@ -167,17 +218,17 @@ def _write_csv(path, header: list, rows: list) -> None:
 # --- subcommands -------------------------------------------------------------------
 
 
-def _cmd_synth(args, config) -> int:
-    out = _out_dir(args, config)
+def _cmd_synth(args) -> int:
+    out = _out_dir(args)
     spec = synth.SynthSpec(
-        n_patients=int(_opt(args, config, "n_patients", 32)),
-        n_samples=int(_opt(args, config, "n_samples", 178)),
-        dp_signal=float(_opt(args, config, "dp_signal", 0.6)),
-        rci_signal=float(_opt(args, config, "rci_signal", 0.6)),
-        dp_size=int(_opt(args, config, "image_size", 160)),
-        rci_size=int(_opt(args, config, "cube_size", 32)),
-        n_bands=int(_opt(args, config, "n_bands", 64)),
-        seed=int(_opt(args, config, "seed", 0)),
+        n_patients=args.n_patients,
+        n_samples=args.n_samples,
+        dp_signal=args.dp_signal,
+        rci_signal=args.rci_signal,
+        dp_size=args.image_size,
+        rci_size=args.cube_size,
+        n_bands=args.n_bands,
+        seed=args.seed,
     )
     manifest = synth.generate(spec, out)
     counts = {}
@@ -188,10 +239,10 @@ def _cmd_synth(args, config) -> int:
     return 0
 
 
-def _cmd_preprocess(args, config) -> int:
-    manifest = _load_task_manifest(args, config)
-    out = _out_dir(args, config)
-    cfg = _pipeline_config(args, config)
+def _cmd_preprocess(args) -> int:
+    manifest = _load_task_manifest(args)
+    out = _out_dir(args)
+    cfg = _pipeline_config(args)
     for record in manifest.samples:
         sample = experiments.prepare_sample(record, cfg)
         dataio.save_image(sample.dp, out / f"{record.sample_id}_dp.pgm")
@@ -201,9 +252,9 @@ def _cmd_preprocess(args, config) -> int:
     return 0
 
 
-def _cmd_median_spectrum(args, config) -> int:
-    manifest = _load_task_manifest(args, config)
-    out = _out_dir(args, config)
+def _cmd_median_spectrum(args) -> int:
+    manifest = _load_task_manifest(args)
+    out = _out_dir(args)
     updated = []
     for record in manifest.samples:
         sample = experiments.prepare_sample(record, routes=())
@@ -216,29 +267,27 @@ def _cmd_median_spectrum(args, config) -> int:
     return 0
 
 
-def _cmd_build_dict(args, config) -> int:
-    manifest = _load_task_manifest(args, config)
-    out = _out_path(args, config, "model file")
-    task = _opt(args, config, "task", "nc-c")
-    modality = _opt(args, config, "modality")
-    if modality not in ("dp", "rci"):
+def _cmd_build_dict(args) -> int:
+    manifest = _load_task_manifest(args)
+    out = _out_path(args, "model file")
+    modality = args.modality
+    if modality is None:
         raise _UsageError("build-dict needs --modality dp or rci")
-    cfg = _pipeline_config(args, config)
-    seed = int(_opt(args, config, "seed", 0))
-    k = int(_opt(args, config, "k", cfg.k_dp if modality == "dp" else cfg.k_rci))
+    cfg = _pipeline_config(args)
+    k = args.k if args.k is not None else (cfg.k_dp if modality == "dp" else cfg.k_rci)
 
-    records, _ = experiments.task_records(manifest, task)
+    records, _ = experiments.task_records(manifest, args.task)
     sub = dataio.CohortManifest(tuple(records), manifest.seed, manifest.root)
     plan = evaluation.plan_folds(
-        sub, k=cfg.folds, reference_fraction=cfg.reference_fraction, seed=seed
+        sub, k=cfg.folds, reference_fraction=cfg.reference_fraction, seed=args.seed
     )
     reference = set(plan.reference_patients)
     ref_manifest = dataio.CohortManifest(
         tuple(r for r in records if r.patient_id in reference), manifest.seed, manifest.root
     )
-    desc = experiments.extract_cohort(ref_manifest, task, cfg, routes=(modality,))
+    desc = experiments.extract_cohort(ref_manifest, args.task, cfg, routes=(modality,))
     pooled = desc.pool(modality, range(len(desc.y)))
-    dictionary = bovw.kmeans(pooled, k, seed, modality=modality)
+    dictionary = bovw.kmeans(pooled, k, args.seed, modality=modality)
     dataio.save_model(dictionary, out)
     print(
         f"built {modality} dictionary (k={k}) from {len(pooled)} descriptors "
@@ -247,16 +296,14 @@ def _cmd_build_dict(args, config) -> int:
     return 0
 
 
-def _cmd_encode(args, config) -> int:
-    manifest = _load_task_manifest(args, config)
-    out = _out_path(args, config, "CSV file")
-    task = _opt(args, config, "task", "nc-c")
-    modality = _opt(args, config, "modality", "fused")
-    cfg = _pipeline_config(args, config)
+def _cmd_encode(args) -> int:
+    manifest = _load_task_manifest(args)
+    out = _out_path(args, "CSV file")
+    modality = args.modality
+    cfg = _pipeline_config(args)
 
     dicts = {}
-    for name, flag in (("dp", "dp_dict"), ("rci", "rci_dict")):
-        path = _opt(args, config, flag)
+    for name, path in (("dp", args.dp_dict), ("rci", args.rci_dict)):
         if path is not None:
             dicts[name] = dataio.load_model(path)
     routes = experiments.ROUTES[modality]
@@ -266,7 +313,7 @@ def _cmd_encode(args, config) -> int:
         if getattr(dicts[name], "modality", None) != name:
             raise ModalityMismatch(f"--{name}-dict does not hold a {name} dictionary")
 
-    desc = experiments.extract_cohort(manifest, task, cfg, routes=routes)
+    desc = experiments.extract_cohort(manifest, args.task, cfg, routes=routes)
     rows = []
     width = None
     for i, record in enumerate(desc.manifest.samples):
@@ -298,22 +345,22 @@ def _check_leakage(plan: evaluation.FoldPlan) -> None:
             )
 
 
-def _cmd_train(args, config) -> int:
-    manifest = _load_task_manifest(args, config)
-    out = _out_path(args, config, "model file")
-    task = _opt(args, config, "task", "nc-c")
-    modality = _opt(args, config, "modality", "fused")
-    cfg = _pipeline_config(args, config)
-    seed = int(_opt(args, config, "seed", 0))
+def _cmd_train(args) -> int:
+    manifest = _load_task_manifest(args)
+    out = _out_path(args, "model file")
+    modality = args.modality
+    cfg = _pipeline_config(args)
     if modality == "median-spectrum":
-        pre, n_lv = _pls_settings(args, config, task)
+        pre, n_lv = _pls_settings(args)
         fit, _ = experiments.pls_fold_functions(pre, n_lv)
     else:
-        svm_cfg = _svm_config(args, config)
+        svm_cfg = _svm_config(args)
         fit, _ = experiments.svm_fold_functions(svm_cfg)
 
-    desc = experiments.extract_cohort(manifest, task, cfg, routes=experiments.ROUTES[modality])
-    features = experiments.partition_features(desc, seed)
+    desc = experiments.extract_cohort(
+        manifest, args.task, cfg, routes=experiments.ROUTES[modality]
+    )
+    features = experiments.partition_features(desc, args.seed)
     _check_leakage(features.plan)
     if modality == "median-spectrum":
         _, model = fit(features.medians, features.y)
@@ -342,21 +389,18 @@ def _cv_once(desc, modality, seed, svm_cfg, pre, n_lv):
     return experiments.run_bovw_cv(features, modality, svm_cfg)
 
 
-def _cmd_cv(args, config) -> int:
-    manifest = _load_task_manifest(args, config)
-    task = _opt(args, config, "task", "nc-c")
-    modality = _opt(args, config, "modality", "fused")
-    n_sets = int(_opt(args, config, "n_reference_sets", 1))
-    cfg = _pipeline_config(args, config)
-    seed = int(_opt(args, config, "seed", 0))
-    out = _out_dir(args, config)
-    svm_cfg = _svm_config(args, config)
-    pre, n_lv = _pls_settings(args, config, task)
+def _cmd_cv(args) -> int:
+    manifest = _load_task_manifest(args)
+    task, modality, n_sets = args.task, args.modality, args.n_reference_sets
+    cfg = _pipeline_config(args)
+    out = _out_dir(args)
+    svm_cfg = _svm_config(args)
+    pre, n_lv = _pls_settings(args)
 
     desc = experiments.extract_cohort(manifest, task, cfg, routes=experiments.ROUTES[modality])
     sens, spec_, aucs = [], [], []
     for r in range(n_sets):
-        set_seed = seed if n_sets == 1 else derive_seed(seed, "reference-set", r)
+        set_seed = args.seed if n_sets == 1 else derive_seed(args.seed, "reference-set", r)
         report = _cv_once(desc, modality, set_seed, svm_cfg, pre, n_lv)
         evaluation.write_metrics_csv(report, out / f"metrics_set{r}.csv")
         if r == 0:
@@ -389,33 +433,24 @@ def _cmd_cv(args, config) -> int:
     return 0
 
 
-def _cmd_grid(args, config) -> int:
-    manifest = _load_task_manifest(args, config)
-    out = _out_path(args, config, "CSV file")
-    task = _opt(args, config, "task", "nc-c")
-    cfg = _pipeline_config(args, config)
-    seed = int(_opt(args, config, "seed", 0))
-    jobs = int(_opt(args, config, "jobs", 1))
-    dp_sizes = _list(_opt(args, config, "dp_sizes", bovw.DP_DICTIONARY_SIZES), int)
-    rci_sizes = _list(_opt(args, config, "rci_sizes", bovw.RCI_DICTIONARY_SIZES), int)
-    c_grid = _list(_opt(args, config, "c_grid", svm.C_GRID), float)
-    gamma_grid = _list(_opt(args, config, "gamma_grid", svm.GAMMA_GRID), float)
-    kernels = _list(_opt(args, config, "kernels", svm.KERNELS), str)
+def _cmd_grid(args) -> int:
+    manifest = _load_task_manifest(args)
+    out = _out_path(args, "CSV file")
+    cfg = _pipeline_config(args)
     # Rejects an empty or invalid grid before any cube is loaded.
-    if min(dp_sizes + rci_sizes, default=1) < 1:
-        raise ValueError(f"dictionary sizes must be positive, got {dp_sizes + rci_sizes}")
     svm.enumerate_grid(
-        [(k_dp, k_rci) for k_dp in dp_sizes for k_rci in rci_sizes], c_grid, gamma_grid, kernels
+        [(k_dp, k_rci) for k_dp in args.dp_sizes for k_rci in args.rci_sizes],
+        args.c_grid, args.gamma_grid, args.kernels,
     )
 
-    desc = experiments.extract_cohort(manifest, task, cfg)
-    features = experiments.partition_features(desc, seed, build_dictionaries=False)
+    desc = experiments.extract_cohort(manifest, args.task, cfg)
+    features = experiments.partition_features(desc, args.seed, build_dictionaries=False)
     _check_leakage(features.plan)
-    matrices = experiments.grid_feature_sets(features, dp_sizes, rci_sizes, seed)
+    matrices = experiments.grid_feature_sets(features, args.dp_sizes, args.rci_sizes, args.seed)
     folds = experiments.plan_fold_indices(features)
     result = svm.grid_search(
         matrices, 2.0 * features.y.astype(np.float64) - 1.0, folds,
-        c_grid=c_grid, gamma_grid=gamma_grid, kernels=kernels, jobs=jobs,
+        c_grid=args.c_grid, gamma_grid=args.gamma_grid, kernels=args.kernels, jobs=args.jobs,
     )
     svm.write_grid_report(result, out)
     best = result.best
@@ -436,23 +471,13 @@ def _cmd_grid(args, config) -> int:
     return 0
 
 
-def _cmd_pls_select(args, config) -> int:
-    manifest = _load_task_manifest(args, config)
-    out = _out_path(args, config, "CSV file")
-    task = _opt(args, config, "task", "nc-c")
-    cfg = _pipeline_config(args, config)
-    seed = int(_opt(args, config, "seed", 0))
-    jobs = int(_opt(args, config, "jobs", 1))
-    n_repeats = int(_opt(args, config, "n_repeats", 200))
-    lv_max = int(_opt(args, config, "lv_max", max(plsda.DEFAULT_LV_RANGE)))
-
-    desc = experiments.extract_cohort(manifest, task, cfg, routes=())
-    menu_value = _opt(args, config, "pretreatments")
-    if menu_value is not None:
-        if isinstance(menu_value, str):
-            menu_value = menu_value.split(",")
-        menu = [spectral.parse_pretreatment(str(m)) for m in menu_value]
-    else:
+def _cmd_pls_select(args) -> int:
+    manifest = _load_task_manifest(args)
+    out = _out_path(args, "CSV file")
+    cfg = _pipeline_config(args)
+    menu = [spectral.parse_pretreatment(m) for m in args.pretreatments or ()]
+    desc = experiments.extract_cohort(manifest, args.task, cfg, routes=())
+    if args.pretreatments is None:
         n_bands = desc.medians.shape[1]
         full = spectral.standard_menu()
         menu = [m for m in full if m.min_length <= n_bands]
@@ -463,8 +488,8 @@ def _cmd_pls_select(args, config) -> int:
             )
     result = plsda.select_pls_model(
         desc.medians, desc.y, menu=menu,
-        lv_values=tuple(range(1, lv_max + 1)),
-        n_repeats=n_repeats, seed=seed, jobs=jobs,
+        lv_values=tuple(range(1, args.lv_max + 1)),
+        n_repeats=args.n_repeats, seed=args.seed, jobs=args.jobs,
     )
     plsda.write_selection_report(result, out)
     print(
@@ -495,13 +520,12 @@ def _read_value_column(path) -> list[float]:
     return values
 
 
-def _cmd_ttest(args, config) -> int:
-    a_path = _opt(args, config, "a")
-    b_path = _opt(args, config, "b")
-    if a_path is None or b_path is None:
+def _cmd_ttest(args) -> int:
+    if args.a is None or args.b is None:
         raise _UsageError("ttest needs both --a and --b value files")
-    a = _read_value_column(a_path)
-    b = _read_value_column(b_path)
+    out = None if args.out is None else _out_path(args, "CSV file")
+    a = _read_value_column(args.a)
+    b = _read_value_column(args.b)
     result = evaluation.paired_ttest(a, b)
     header = [
         "mean_diff", "std_diff", "n", "t", "df", "p", "ci_low", "ci_high", "t_crit",
@@ -511,7 +535,6 @@ def _cmd_ttest(args, config) -> int:
         result.df, repr(result.p), repr(result.ci_low), repr(result.ci_high),
         repr(result.t_crit),
     ]
-    out = _opt(args, config, "out")
     if out is not None:
         _write_csv(out, header, [row])
         print(f"t-test table -> {out}")
@@ -522,14 +545,12 @@ def _cmd_ttest(args, config) -> int:
     return 0
 
 
-def _cmd_report(args, config) -> int:
-    inputs = _opt(args, config, "inputs") or []
-    if isinstance(inputs, str):
-        inputs = [p for p in inputs.split(",") if p]
-    if not inputs:
+def _cmd_report(args) -> int:
+    if not args.inputs:
         raise _UsageError("report needs at least one cv summary.csv via --inputs")
+    out = None if args.out is None else _out_path(args, "CSV file")
     rows = []
-    for path in inputs:
+    for path in args.inputs:
         path = Path(path)
         if not path.is_file():
             raise MissingFile(f"summary file not found: {path}")
@@ -541,7 +562,6 @@ def _cmd_report(args, config) -> int:
             rows.extend(reader)
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
 
-    out = _opt(args, config, "out")
     header = ["task", "modality", "n_reference_sets", "sensitivity", "specificity", "auc"]
     if out is not None:
         _write_csv(out, header, rows)
@@ -560,131 +580,64 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ramanfuse", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, flags, **overrides):
+        """A subcommand taking --config, --seed and flags; overrides maps a
+        flag to the add_argument keywords it changes for this command."""
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func, parser=p)
-        p.add_argument("--config", help="JSON file of default flag values")
-        p.add_argument("--seed", type=int, help="root random seed (default 0)")
-        return p
+        for flag in ("config", "seed", *flags):
+            p.add_argument(f"--{flag}", **{**FLAGS[flag], **overrides.get(flag, {})})
 
-    p = add("synth", _cmd_synth, "generate a synthetic cohort with known ground truth")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--n-patients", type=int)
-    p.add_argument("--n-samples", type=int)
-    p.add_argument("--dp-signal", type=float)
-    p.add_argument("--rci-signal", type=float)
-    p.add_argument("--image-size", type=int, help="pathology image edge length")
-    p.add_argument("--cube-size", type=int, help="hyperspectral cube edge length")
-    p.add_argument("--n-bands", type=int)
-
-    common_pipeline = [
-        ("--dp-size", _positive_int), ("--rci-size", _positive_int),
-        ("--k-dp", _positive_int), ("--k-rci", _positive_int),
-        ("--folds", _positive_int), ("--reference-fraction", _open_fraction),
-    ]
-
-    def add_pipeline_flags(p):
-        for flag, typ in common_pipeline:
-            p.add_argument(flag, type=typ)
-
-    p = add("preprocess", _cmd_preprocess,
-            "write prepared grey images and tissue masks for every sample")
-    p.add_argument("--manifest")
-    p.add_argument("--out")
-    add_pipeline_flags(p)
-
-    p = add("median-spectrum", _cmd_median_spectrum,
-            "write per-sample median spectra and a manifest referencing them")
-    p.add_argument("--manifest")
-    p.add_argument("--out")
-
-    p = add("build-dict", _cmd_build_dict,
-            "cluster reference-patient descriptors into a visual dictionary")
-    p.add_argument("--manifest")
-    p.add_argument("--out")
-    p.add_argument("--task", choices=TASKS)
-    p.add_argument("--modality", choices=("dp", "rci"))
-    p.add_argument("--k", type=_positive_int)
-    add_pipeline_flags(p)
-
-    p = add("encode", _cmd_encode, "encode samples against saved dictionaries")
-    p.add_argument("--manifest")
-    p.add_argument("--out")
-    p.add_argument("--task", choices=TASKS)
-    p.add_argument("--modality", choices=("dp", "rci", "fused"))
-    p.add_argument("--dp-dict")
-    p.add_argument("--rci-dict")
-    add_pipeline_flags(p)
-
-    p = add("train", _cmd_train, "train one calibrated model on the classification set")
-    p.add_argument("--manifest")
-    p.add_argument("--out")
-    p.add_argument("--task", choices=TASKS)
-    p.add_argument("--modality", choices=MODALITIES)
-    p.add_argument("--kernel", choices=svm.KERNELS)
-    p.add_argument("--c", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--pretreatment")
-    p.add_argument("--n-lv", type=_positive_int)
-    add_pipeline_flags(p)
-
-    p = add("cv", _cmd_cv, "patient-grouped cross-validation with report files")
-    p.add_argument("--manifest")
-    p.add_argument("--out")
-    p.add_argument("--task", choices=TASKS)
-    p.add_argument("--modality", choices=MODALITIES)
-    p.add_argument("--n-reference-sets", type=int, choices=REFERENCE_SET_COUNTS)
-    p.add_argument("--kernel", choices=svm.KERNELS)
-    p.add_argument("--c", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--pretreatment")
-    p.add_argument("--n-lv", type=_positive_int)
-    add_pipeline_flags(p)
-
-    p = add("grid", _cmd_grid, "exhaustive dictionary/kernel/C/gamma accuracy search")
-    p.add_argument("--manifest")
-    p.add_argument("--out")
-    p.add_argument("--task", choices=TASKS)
-    p.add_argument("--jobs", type=_positive_int)
-    p.add_argument("--dp-sizes", help="comma list of DP dictionary sizes")
-    p.add_argument("--rci-sizes", help="comma list of RCI dictionary sizes")
-    p.add_argument("--c-grid", help="comma list of C values")
-    p.add_argument("--gamma-grid", help="comma list of gamma values")
-    p.add_argument("--kernels", help="comma list from {linear,rbf}")
-    add_pipeline_flags(p)
-
-    p = add("pls-select", _cmd_pls_select,
-            "repeated-split selection of pretreatment and LV count")
-    p.add_argument("--manifest")
-    p.add_argument("--out")
-    p.add_argument("--task", choices=TASKS)
-    p.add_argument("--n-repeats", type=_positive_int)
-    p.add_argument("--lv-max", type=_positive_int)
-    p.add_argument("--pretreatments", help="comma list overriding the standard menu")
-    p.add_argument("--jobs", type=_positive_int)
-    add_pipeline_flags(p)
-
-    p = add("ttest", _cmd_ttest, "paired two-tail t-test between two value columns")
-    p.add_argument("--a", help="CSV whose last column holds the first sample")
-    p.add_argument("--b", help="CSV whose last column holds the second sample")
-    p.add_argument("--out")
-
-    p = add("report", _cmd_report, "stack cv summaries into one comparison table")
-    p.add_argument("--inputs", help="comma list of summary.csv files")
-    p.add_argument("--out")
-
+    add("synth", _cmd_synth, "generate a synthetic cohort with known ground truth",
+        ("out", "n-patients", "n-samples", "dp-signal", "rci-signal", "image-size",
+         "cube-size", "n-bands"))
+    add("preprocess", _cmd_preprocess,
+        "write prepared grey images and tissue masks for every sample",
+        ("manifest", "out", *PIPELINE_FLAGS))
+    add("median-spectrum", _cmd_median_spectrum,
+        "write per-sample median spectra and a manifest referencing them",
+        ("manifest", "out"))
+    add("build-dict", _cmd_build_dict,
+        "cluster reference-patient descriptors into a visual dictionary",
+        ("manifest", "out", "task", "modality", "k", *PIPELINE_FLAGS),
+        modality=dict(choices=experiments.IMAGE_ROUTES, default=None))
+    add("encode", _cmd_encode, "encode samples against saved dictionaries",
+        ("manifest", "out", "task", "modality", "dp-dict", "rci-dict", *PIPELINE_FLAGS),
+        modality=dict(choices=("dp", "rci", "fused")))
+    add("train", _cmd_train, "train one calibrated model on the classification set",
+        ("manifest", "out", "task", "modality", *SVM_FLAGS, *PLS_FLAGS, *PIPELINE_FLAGS))
+    add("cv", _cmd_cv, "patient-grouped cross-validation with report files",
+        ("manifest", "out", "task", "modality", "n-reference-sets", *SVM_FLAGS, *PLS_FLAGS,
+         *PIPELINE_FLAGS))
+    add("grid", _cmd_grid, "exhaustive dictionary/kernel/C/gamma accuracy search",
+        ("manifest", "out", "task", "jobs", "dp-sizes", "rci-sizes", "c-grid", "gamma-grid",
+         "kernels", *PIPELINE_FLAGS))
+    add("pls-select", _cmd_pls_select, "repeated-split selection of pretreatment and LV count",
+        ("manifest", "out", "task", "n-repeats", "lv-max", "pretreatments", "jobs",
+         *PIPELINE_FLAGS))
+    add("ttest", _cmd_ttest, "paired two-tail t-test between two value columns",
+        ("a", "b", "out"))
+    add("report", _cmd_report, "stack cv summaries into one comparison table",
+        ("inputs", "out"))
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv) -> argparse.Namespace:
+    """The subcommand's arguments: flags, else --config values, else defaults."""
     parser = build_parser()
-    try:
+    args = parser.parse_args(argv)
+    if getattr(args, "func", None) is None:
+        raise _UsageError(parser.format_usage())
+    if args.config:
+        args.parser.set_defaults(**_check_config(args.parser, _load_config(args.config)))
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
-            raise _UsageError(parser.format_usage())
-        config = _load_config(args.config) if getattr(args, "config", None) else {}
-        _check_config(args.parser, config)
-        return int(args.func(args, config) or 0)
+    return args
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse_args(argv)
+        return int(args.func(args) or 0)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -28,6 +28,8 @@ class SvmConfig:
     max_iter: int = 200_000
 
     def __post_init__(self):
+        if not (math.isfinite(self.C) and math.isfinite(self.gamma)):
+            raise ValueError(f"C and gamma must be finite, got C={self.C}, gamma={self.gamma}")
         if self.C <= 0:
             raise ValueError("C must be positive")
         if self.kernel not in KERNELS:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit-code mapping, subcommand round trips on a
 small synthetic cohort, config-file merging, and byte-level determinism of
 seeded runs."""
+import argparse
 import csv
 import json
 
@@ -15,6 +16,31 @@ COHORT_FLAGS = [
     "--cube-size", "24", "--n-bands", "32", "--seed", "7",
 ]
 PIPE_FLAGS = ["--dp-size", "96", "--rci-size", "64", "--k-dp", "12", "--k-rci", "6"]
+
+# A valid, non-default value of every long flag but --config:
+# (config-file value, command-line text).
+FLAG_VALUES = {
+    "seed": (5, "5"), "manifest": ("m.txt", "m.txt"), "out": ("o", "o"),
+    "task": ("g3-g4", "g3-g4"), "modality": ("rci", "rci"),
+    "n-patients": (3, "3"), "n-samples": (9, "9"), "dp-signal": (0.25, "0.25"),
+    "rci-signal": (0.5, "0.5"), "image-size": (48, "48"), "cube-size": (12, "12"),
+    "n-bands": (40, "40"), "dp-size": (64, "64"), "rci-size": (48, "48"), "k-dp": (9, "9"),
+    "k-rci": (4, "4"), "folds": (3, "3"), "reference-fraction": (0.3, "0.3"), "k": (7, "7"),
+    "dp-dict": ("d.json", "d.json"), "rci-dict": ("r.json", "r.json"),
+    "kernel": ("linear", "linear"), "c": (2.5, "2.5"), "gamma": (0.125, "0.125"),
+    "pretreatment": ("snv", "snv"), "n-lv": (3, "3"), "n-reference-sets": (10, "10"),
+    "jobs": (2, "2"), "dp-sizes": ([8, 16], "8,16"), "rci-sizes": ([4], "4"),
+    "c-grid": ([0.5, 2], "0.5,2"), "gamma-grid": ([1, 0.25], "1,0.25"),
+    "kernels": (["rbf"], "rbf"), "n-repeats": (7, "7"), "lv-max": (4, "4"),
+    "pretreatments": (["none", "snv"], "none,snv"), "a": ("a.csv", "a.csv"),
+    "b": ("b.csv", "b.csv"), "inputs": (["s1.csv", "s2.csv"], "s1.csv,s2.csv"),
+}
+
+
+def subcommand_parsers():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
 
 
 def read_rows(path):
@@ -176,7 +202,7 @@ class TestExitCodes:
         assert len(err) == 1 and last.sample_id in err[0]
 
     def test_numerical_failure_maps_to_exit_3(self, monkeypatch, tmp_path):
-        def boom(args, config):
+        def boom(args):
             raise NumericalError("probe")
 
         monkeypatch.setattr(cli, "_cmd_synth", boom)
@@ -427,7 +453,8 @@ class TestConfigValidation:
             *argv, "--manifest", manifest, "--config", cfg, "--out", str(tmp_path / "x"),
         ]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "task='bogus'" in err[0] and "--task" in err[0]
+        assert len(err) == 1
+        assert err[0].endswith("config value task='bogus' is not valid for --task")
 
     def test_unknown_modality_stops_before_extraction(
         self, manifest, tmp_path, no_cubes, capsys
@@ -462,13 +489,32 @@ class TestConfigValidation:
         ["pls-select", "--jobs", "0"],
         ["grid", "--jobs", "0"],
         ["train", "--modality", "median-spectrum", "--n-lv", "0"],
+        ["synth", "--n-patients", "0"],
+        ["synth", "--n-samples", "0"],
+        ["synth", "--image-size", "0"],
+        ["synth", "--cube-size", "0"],
+        ["synth", "--n-bands", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_count_or_fraction_flag_fails_before_any_cube_is_loaded(
         self, manifest, tmp_path, no_cubes, capsys, argv
     ):
-        assert cli.main([*argv, "--manifest", manifest, "--out", str(tmp_path / "x")]) == 1
+        cohort = [] if argv[0] == "synth" else ["--manifest", manifest]
+        assert cli.main([*argv, *cohort, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and argv[-2] in err[0]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--c", "nan"],
+        ["train", "--gamma", "inf"],
+        ["cv", "--c=-inf"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_non_finite_c_or_gamma_fails_before_any_cube_is_loaded(
+        self, manifest, tmp_path, no_cubes, capsys, argv
+    ):
+        assert cli.main([*argv, "--manifest", manifest, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "finite" in err[0]
 
     @pytest.mark.parametrize("doc", [
         {"k-dp": 0}, {"folds": 0}, {"rci-size": -1}, {"reference-fraction": 1.5},
@@ -494,6 +540,37 @@ class TestConfigValidation:
         assert len(err) == 1 and "--jobs" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"dp-sizes": [8, 0]}, {"rci-sizes": "4,-1"}, {"c-grid": [1, "x"]}, {"jobs": [1, 2]},
+    ])
+    def test_bad_list_in_config_fails_before_any_cube_is_loaded(
+        self, manifest, tmp_path, no_cubes, capsys, doc
+    ):
+        cfg = self.write(tmp_path, doc)
+        assert cli.main([
+            "grid", "--manifest", manifest, "--config", cfg, "--out", str(tmp_path / "x"),
+        ]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "is not valid for" in err[0]
+
+    @pytest.mark.parametrize("command", sorted(subcommand_parsers()))
+    def test_config_values_resolve_like_the_same_flags(self, tmp_path, command):
+        flags = [
+            a.option_strings[-1][2:] for a in subcommand_parsers()[command]._actions
+            if a.dest not in ("help", "config")
+        ]
+        cfg = self.write(tmp_path, {flag: FLAG_VALUES[flag][0] for flag in flags})
+        argv = [x for flag in flags for x in (f"--{flag}", FLAG_VALUES[flag][1])]
+        resolved = [
+            vars(cli._parse_args([command, *extra]))
+            for extra in (["--config", cfg], argv, [])
+        ]
+        for namespace in resolved:
+            del namespace["config"], namespace["parser"]
+        from_config, from_flags, defaults = resolved
+        assert from_config == from_flags
+        assert all(from_config[k] != defaults[k] for k in defaults if k not in ("func", "command"))
+
     def test_one_fold_still_trains(self, manifest, tmp_path):
         assert cli.main([
             "train", "--manifest", manifest, "--modality", "median-spectrum",
@@ -506,6 +583,43 @@ class TestConfigValidation:
             "synth", "--config", cfg, "--out", str(tmp_path / "c"), "--n-patients", "2",
             "--n-samples", "4", "--image-size", "32", "--cube-size", "8",
         ]) == 0
+
+
+class TestOutParent:
+    @pytest.mark.parametrize("argv", [
+        ["pls-select", "--n-repeats", "3", "--lv-max", "2"],
+        ["train", "--modality", "median-spectrum", "--folds", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_parent_directory_is_created(self, manifest, tmp_path, argv):
+        out = tmp_path / "new" / "dir" / "out.file"
+        assert cli.main([*argv, "--manifest", manifest, "--out", str(out)]) == 0
+        assert out.is_file()
+
+    def test_ttest_and_report_create_a_missing_parent(self, cv_fused_dir, tmp_path):
+        values = tmp_path / "b.csv"
+        values.write_text("auc\n0.5\n0.6\n0.4\n0.7\n0.5\n")
+        metrics = str(cv_fused_dir / "metrics_set0.csv")
+        ttest, report = tmp_path / "t" / "t.csv", tmp_path / "r" / "r.csv"
+        assert cli.main(["ttest", "--a", metrics, "--b", str(values), "--out", str(ttest)]) == 0
+        assert cli.main([
+            "report", "--inputs", str(cv_fused_dir / "summary.csv"), "--out", str(report),
+        ]) == 0
+        assert ttest.is_file() and report.is_file()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth"], ["preprocess"], ["median-spectrum"], ["build-dict", "--modality", "dp"],
+        ["encode"], ["train"], ["cv"], ["grid"], ["pls-select"],
+        ["ttest", "--a", "a.csv", "--b", "b.csv"], ["report", "--inputs", "s.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_out_blocked_by_a_file_is_a_one_line_data_error(
+        self, manifest, tmp_path, no_cubes, capsys, argv
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cohort = [] if argv[0] in ("synth", "ttest", "report") else ["--manifest", manifest]
+        assert cli.main([*argv, *cohort, "--out", str(blocker / "x.csv")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(blocker) in err[0]
 
 
 class TestGrid:
@@ -553,6 +667,8 @@ class TestGrid:
         ["--gamma-grid=0"],
         ["--dp-sizes", "0,8"],
         ["--rci-sizes=-4"],
+        ["--c-grid", "nan"],
+        ["--gamma-grid", "1,inf"],
     ])
     def test_empty_or_invalid_grid_fails_before_any_cube_is_loaded(
         self, manifest, no_cubes, capsys, tmp_path, flags

@@ -81,6 +81,15 @@ def random_instance(rng, n):
             return X, y
 
 
+class TestConfig:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["C", "gamma"])
+    @pytest.mark.parametrize("kernel", svm.KERNELS)
+    def test_non_finite_c_or_gamma_is_rejected(self, kernel, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            svm.SvmConfig(kernel=kernel, **{field: value})
+
+
 class TestTrainGeometry:
     def test_two_point_boundary_and_margin(self):
         X = np.array([[0.0], [2.0]])
@@ -401,6 +410,8 @@ class TestGridSearch:
         dict(kernels=["rbf"], gamma_grid=[]),
         dict(gamma_grid=[]),
         dict(kernels=["poly"]),
+        dict(c_grid=[1.0, math.nan]),
+        dict(gamma_grid=[math.inf]),
     ])
     def test_empty_or_invalid_grid_rejected(self, grid):
         X, y = tiny_dataset()
