@@ -5,9 +5,10 @@ commands on each, in-process through `cli.main` (working directory = the
 temporary directory, all paths relative):
 
 * `synth --n-patients 24 --n-samples 120 --seed 0` (64 bands) through every
-  command, writing under `out/`; `cv`, `grid` and `pls-select` run once more
-  with values from a `--config` file (JSON lists included), and `ttest`
-  and `report` read the `cv` reports;
+  command, writing under `out/`; `cv` runs once more over ten reference
+  sets for `dp` and for `median-spectrum`, `cv`, `grid` and `pls-select`
+  run once more with values from a `--config` file (JSON lists included),
+  and `ttest` and `report` read the `cv` reports;
 * `synth --n-patients 20 --n-samples 40 --n-bands 512 --image-size 32
   --seed 0` through the median-spectrum route, writing under `out512/`.
   Its 512 bands admit the fluorescence chains (301-point window) that 64
@@ -59,6 +60,11 @@ COMMANDS = [
       for m in ("dp", "rci", "fused", "median-spectrum")],
     *[(f"cv-{m}", ["cv", "--modality", m, "--out", f"out/cv_{m}"])
       for m in ("dp", "rci", "fused", "median-spectrum")],
+    ("cv-dp-10sets", ["cv", "--modality", "dp", "--n-reference-sets", "10", "--k-dp", "40",
+                      "--out", "out/cv_dp_10sets"]),
+    ("cv-median-spectrum-10sets", ["cv", "--modality", "median-spectrum",
+                                   "--n-reference-sets", "10",
+                                   "--out", "out/cv_median-spectrum_10sets"]),
     ("grid", ["grid", "--dp-sizes", "50,100", "--rci-sizes", "5,10", "--out", "out/grid.csv"]),
     ("pls-select", ["pls-select", "--n-repeats", "20", "--out", "out/pls.csv"]),
     ("cv-config", ["cv", "--config", "config/cv.json", "--out", "out/cv_config"]),

@@ -1,5 +1,5 @@
 """Visual-word dictionaries: k-means clustering of 128-d descriptors,
-nearest-word quantization, count histograms and modality fusion.
+nearest-word quantization, count histograms and feature vectors.
 """
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModalityMismatch, TooFewDescriptors
+from .errors import TooFewDescriptors
 from .seeds import rng_for
 
 DP_DICTIONARY_SIZES = (50, 75, 100, 200, 300, 500, 1000)
@@ -172,15 +172,3 @@ def feature_vector(hist: WordHistogram, normalize: bool = False) -> np.ndarray:
     if normalize and hist.total:
         v = v / hist.total
     return v
-
-
-def fuse(h_dp: WordHistogram, h_rci: WordHistogram, normalize: bool = False) -> np.ndarray:
-    """Concatenate per-modality histograms, DP block first. Normalization,
-    when requested, applies per block so neither modality drowns the other."""
-    if h_dp.modality != "dp" or h_rci.modality != "rci":
-        raise ModalityMismatch(
-            f"fusion expects (dp, rci) histograms, got ({h_dp.modality}, {h_rci.modality})"
-        )
-    return np.concatenate(
-        [feature_vector(h_dp, normalize), feature_vector(h_rci, normalize)]
-    )

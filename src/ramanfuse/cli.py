@@ -475,6 +475,8 @@ def _cmd_pls_select(args) -> int:
     manifest = _load_task_manifest(args)
     out = _out_path(args, "CSV file")
     cfg = _pipeline_config(args)
+    if args.pretreatments == []:
+        raise _UsageError("an empty menu is not valid for --pretreatments")
     menu = [spectral.parse_pretreatment(m) for m in args.pretreatments or ()]
     desc = experiments.extract_cohort(manifest, args.task, cfg, routes=())
     if args.pretreatments is None:

@@ -77,9 +77,6 @@ class CohortManifest:
             seen.setdefault(s.patient_id, None)
         return list(seen)
 
-    def by_sample_id(self) -> dict[str, SampleRecord]:
-        return {s.sample_id: s for s in self.samples}
-
 
 @dataclass
 class GreyImage:

@@ -24,12 +24,6 @@ class FoldPlan:
     def k(self) -> int:
         return len(self.folds)
 
-    def all_patients(self):
-        out = list(self.reference_patients)
-        for fold in self.folds:
-            out.extend(fold)
-        return out
-
 
 def plan_folds(manifest, k: int = 5, reference_fraction: float = 0.0, seed: int = 0) -> FoldPlan:
     """Seeded patient-level split into a reference pool plus k folds.
@@ -190,46 +184,28 @@ class EvalReport:
 
 
 def cross_validate(
-    X: np.ndarray,
-    y: np.ndarray,
-    patient_ids,
-    plan: FoldPlan,
-    fit_fn,
-    score_fn,
-    positive_label=1,
-    extra_train_indices=None,
+    X: np.ndarray, y: np.ndarray, folds, fit_fn, score_fn, positive_label=1
 ) -> EvalReport:
-    """Hold out one fold of patients at a time.
+    """Fit on each fold's train rows and score its test rows.
 
-    fit_fn(X_train, y_train) -> model; score_fn(model, X_test) ->
-    (predicted labels, continuous scores). Samples of reference patients are
-    excluded entirely unless listed in extra_train_indices, which are added
-    to every fold's training side (never to a test side).
+    folds are (train indices, test indices) pairs, as from
+    experiments.plan_fold_indices; fit_fn(X_train, y_train) -> model;
+    score_fn(model, X_test) -> (predicted labels, continuous scores).
     """
     X = np.asarray(X)
     y = np.asarray(y)
-    patient_ids = np.asarray(patient_ids)
-    extra = np.zeros(len(y), dtype=bool)
-    if extra_train_indices is not None:
-        extra[np.asarray(extra_train_indices)] = True
-    in_fold = np.zeros(len(y), dtype=bool)
-    for fold in plan.folds:
-        in_fold |= np.isin(patient_ids, fold)
-
     confusions = []
     aucs = []
     all_scores = []
     all_labels = []
-    for fold in plan.folds:
-        test_mask = np.isin(patient_ids, fold)
-        train_mask = (in_fold & ~test_mask) | extra
-        model = fit_fn(X[train_mask], y[train_mask])
-        predictions, scores = score_fn(model, X[test_mask])
-        confusions.append(confusion(y[test_mask], predictions, positive_label))
-        _, fold_auc = roc_auc(scores, y[test_mask], positive_label)
+    for train, test in folds:
+        model = fit_fn(X[train], y[train])
+        predictions, scores = score_fn(model, X[test])
+        confusions.append(confusion(y[test], predictions, positive_label))
+        _, fold_auc = roc_auc(scores, y[test], positive_label)
         aucs.append(fold_auc)
         all_scores.append(np.asarray(scores, dtype=np.float64))
-        all_labels.append(y[test_mask])
+        all_labels.append(y[test])
 
     pooled = confusions[0]
     for c in confusions[1:]:

@@ -116,8 +116,8 @@ def task_records(manifest: CohortManifest, task: str):
 
 def feature_row(histograms, normalize: bool) -> np.ndarray:
     """One sample's feature vector: its route histograms side by side in
-    ROUTES order, each block normalized on its own; for (dp, rci) this is
-    bovw.fuse."""
+    ROUTES order (dp before rci), each block normalized on its own so
+    neither modality drowns the other."""
     return np.concatenate([bovw.feature_vector(h, normalize) for h in histograms])
 
 
@@ -275,13 +275,7 @@ def run_bovw_cv(
     cfg = features.config.svm_config if cfg is None else cfg
     fit, score = svm_fold_functions(cfg)
     return evaluation.cross_validate(
-        features.matrix(modality),
-        features.y,
-        features.patient_ids,
-        features.plan,
-        fit,
-        score,
-        positive_label=1,
+        features.matrix(modality), features.y, plan_fold_indices(features), fit, score
     )
 
 
@@ -300,23 +294,17 @@ def pls_fold_functions(pretreatment: spectral.PretreatmentSpec, n_lv: int):
 
 
 def run_pls_cv(
-    features: CohortFeatures,
-    pretreatment: spectral.PretreatmentSpec,
-    n_lv: int,
-    include_reference: bool = True,
+    features: CohortFeatures, pretreatment: spectral.PretreatmentSpec, n_lv: int
 ) -> evaluation.EvalReport:
-    """Median-spectrum route; reference medians join every training side."""
-    cls = features.classification_rows
-    ref = features.reference_rows if include_reference else features.reference_rows[:0]
+    """Median-spectrum route: the classification rows, then the reference
+    medians, which join every fold's training side and are never tested."""
+    cls, ref = features.classification_rows, features.reference_rows
     rows = np.concatenate([cls, ref])
-    pids = list(features.patient_ids) + [f"__reference_{i}" for i in range(len(ref))]
-    extra = np.arange(len(cls), len(rows)) if len(ref) else None
+    extra = np.arange(len(cls), len(rows))
+    folds = [(np.concatenate([train, extra]), test) for train, test in plan_fold_indices(features)]
     fit, score = pls_fold_functions(pretreatment, n_lv)
     desc = features.descriptors
-    return evaluation.cross_validate(
-        desc.medians[rows], desc.y[rows], pids, features.plan, fit, score,
-        positive_label=1, extra_train_indices=extra,
-    )
+    return evaluation.cross_validate(desc.medians[rows], desc.y[rows], folds, fit, score)
 
 
 def grid_feature_sets(features: CohortFeatures, dp_sizes, rci_sizes, seed: int) -> dict:
@@ -335,14 +323,13 @@ def grid_feature_sets(features: CohortFeatures, dp_sizes, rci_sizes, seed: int) 
 
 
 def plan_fold_indices(features: CohortFeatures):
-    """(train, test) index pairs over the classification samples."""
+    """(train, test) index pairs over the classification rows, one per fold:
+    test is the fold's patients' rows, train the rows of the other folds'
+    patients, so a row whose patient is in no fold is on neither side."""
     pids = np.asarray(features.patient_ids)
-    folds = []
-    for fold in features.plan.folds:
-        test = np.flatnonzero(np.isin(pids, fold))
-        train = np.flatnonzero(~np.isin(pids, fold))
-        folds.append((train, test))
-    return folds
+    in_fold = [np.isin(pids, fold) for fold in features.plan.folds]
+    in_any = np.logical_or.reduce(in_fold)
+    return [(np.flatnonzero(in_any & ~test), np.flatnonzero(test)) for test in in_fold]
 
 
 # --- multi-seed benchmark ----------------------------------------------------------

@@ -246,6 +246,8 @@ def select_pls_model(
     if len(np.unique(y)) < 2:
         raise SingleClass("selection needs both classes present")
     menu = list(spectral.standard_menu() if menu is None else menu)
+    if not menu:
+        raise ValueError("the pretreatment menu is empty")
     lv_values = tuple(lv_values)
     train_count = int(np.floor(split * len(y) + 0.5))
     if train_count < 2 or len(y) - train_count < 2:

@@ -131,9 +131,9 @@ def test_03_grid_geometry_and_fused_feature_length():
     dict_dp = bovw.VisualDictionary(rng.normal(size=(300, 128)), "dp", 0)
     dict_rci = bovw.VisualDictionary(rng.normal(size=(10, 128)), "rci", 0)
     descriptors = rng.normal(size=(64, 128))
-    fused = bovw.fuse(
-        bovw.encode_descriptors(descriptors, dict_dp),
-        bovw.encode_descriptors(descriptors, dict_rci),
+    fused = experiments.feature_row(
+        (bovw.encode_descriptors(descriptors, dict_dp),
+         bovw.encode_descriptors(descriptors, dict_rci)),
         True,
     )
     checks = [

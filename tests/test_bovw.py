@@ -10,11 +10,11 @@ from ramanfuse.bovw import (
     encode_descriptors,
     feature_vector,
     _assign,
-    fuse,
     kmeans,
 )
 from ramanfuse.dataio import GreyImage
-from ramanfuse.errors import ModalityMismatch, TooFewDescriptors
+from ramanfuse.errors import TooFewDescriptors
+from ramanfuse.experiments import feature_row
 from ramanfuse.sift import descriptor_matrix, extract
 
 from test_sift import blob_field
@@ -212,30 +212,26 @@ class TestBuildDictionary:
 
 
 class TestFusion:
+    """Fused rows are experiments.feature_row over the (dp, rci) histograms."""
+
     def hist(self, k, modality, value=0):
         counts = np.full(k, value, dtype=np.int64)
         return WordHistogram(counts, modality)
 
     def test_fused_lengths(self):
-        assert len(fuse(self.hist(300, "dp"), self.hist(10, "rci"))) == 310
-        assert len(fuse(self.hist(300, "dp"), self.hist(5, "rci"))) == 305
+        assert len(feature_row((self.hist(300, "dp"), self.hist(10, "rci")), False)) == 310
+        assert len(feature_row((self.hist(300, "dp"), self.hist(5, "rci")), False)) == 305
 
     def test_dp_block_first(self):
-        f = fuse(self.hist(4, "dp", 2), self.hist(3, "rci", 7))
+        f = feature_row((self.hist(4, "dp", 2), self.hist(3, "rci", 7)), False)
         assert list(f) == [2, 2, 2, 2, 7, 7, 7]
 
     def test_zero_histograms(self):
-        f = fuse(self.hist(6, "dp"), self.hist(2, "rci"))
+        f = feature_row((self.hist(6, "dp"), self.hist(2, "rci")), True)
         assert not f.any() and len(f) == 8
 
-    def test_modality_mismatch(self):
-        with pytest.raises(ModalityMismatch):
-            fuse(self.hist(4, "rci"), self.hist(3, "rci"))
-        with pytest.raises(ModalityMismatch):
-            fuse(self.hist(4, "rci"), self.hist(3, "dp"))
-
     def test_normalized_blocks(self):
-        f = fuse(self.hist(4, "dp", 2), self.hist(2, "rci", 3), normalize=True)
+        f = feature_row((self.hist(4, "dp", 2), self.hist(2, "rci", 3)), True)
         assert np.allclose(f[:4], 0.25) and np.allclose(f[4:], 0.5)
 
     def test_feature_vector_normalization(self):

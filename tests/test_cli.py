@@ -273,6 +273,17 @@ class TestDictionaryCommands:
         assert len(rows) == 71
         assert {row[3] for row in rows[1:]} == {"0", "1"}
 
+    def test_encode_rejects_swapped_dictionaries_before_any_cube_is_loaded(
+        self, manifest, dictionaries, no_cubes, tmp_path, capsys
+    ):
+        dp, rci = dictionaries
+        assert cli.main([
+            "encode", "--manifest", manifest, "--modality", "fused",
+            "--dp-dict", str(rci), "--rci-dict", str(dp), "--out", str(tmp_path / "x.csv"),
+        ]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--dp-dict does not hold a dp dictionary" in err[0]
+
     def test_cli_dictionaries_and_rows_match_partition_features(
         self, manifest, dictionaries, tmp_path
     ):
@@ -487,6 +498,7 @@ class TestConfigValidation:
         ["pls-select", "--n-repeats", "0"],
         ["pls-select", "--lv-max", "0"],
         ["pls-select", "--jobs", "0"],
+        ["pls-select", "--pretreatments", ","],
         ["grid", "--jobs", "0"],
         ["train", "--modality", "median-spectrum", "--n-lv", "0"],
         ["synth", "--n-patients", "0"],
@@ -518,7 +530,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("doc", [
         {"k-dp": 0}, {"folds": 0}, {"rci-size": -1}, {"reference-fraction": 1.5},
-        {"n-repeats": 0}, {"lv-max": 0}, {"jobs": 0}, {"jobs": -1},
+        {"n-repeats": 0}, {"lv-max": 0}, {"jobs": 0}, {"jobs": -1}, {"pretreatments": []},
     ])
     def test_bad_count_or_fraction_in_config_fails_before_any_cube_is_loaded(
         self, manifest, tmp_path, no_cubes, capsys, doc

@@ -41,7 +41,7 @@ class TestFoldPlan:
             counts = {f"p{i}": int(rng.integers(1, 9)) for i in range(20)}
             manifest = make_manifest(counts)
             plan = ev.plan_folds(manifest, k=5, reference_fraction=0.3, seed=seed)
-            seen = plan.all_patients()
+            seen = list(plan.reference_patients) + [p for fold in plan.folds for p in fold]
             assert len(seen) == len(set(seen))
             assert set(seen) == set(counts)
             for fold in plan.folds:
@@ -190,11 +190,14 @@ def grouped_dataset(n_patients=10, per_patient=2):
     return X, np.array(y), np.array(ids)
 
 
-def plan_for(ids, k=5):
+def folds_for(ids):
+    """(train, test) index pairs of a seeded 5-fold patient plan over ids."""
     manifest = make_manifest(
         {pid: int((np.asarray(ids) == pid).sum()) for pid in dict.fromkeys(ids)}
     )
-    return ev.plan_folds(manifest, k=k, seed=0)
+    plan = ev.plan_folds(manifest, k=5, seed=0)
+    in_fold = [np.isin(ids, fold) for fold in plan.folds]
+    return [(np.flatnonzero(~test), np.flatnonzero(test)) for test in in_fold]
 
 
 class TestCrossValidate:
@@ -202,7 +205,7 @@ class TestCrossValidate:
         X, y, ids = grouped_dataset()
         lookup = {float(row[0]): label for row, label in zip(X, y)}
         report = ev.cross_validate(
-            X, y, ids, plan_for(ids),
+            X, y, folds_for(ids),
             fit_fn=lambda *_: None,
             score_fn=lambda _, rows: (
                 np.array([lookup[float(r[0])] for r in rows]),
@@ -215,7 +218,7 @@ class TestCrossValidate:
     def test_constant_classifier_matches_majority_share(self):
         X, y, ids = grouped_dataset()
         report = ev.cross_validate(
-            X, y, ids, plan_for(ids),
+            X, y, folds_for(ids),
             fit_fn=lambda *_: None,
             score_fn=lambda _, rows: (np.ones(len(rows), dtype=int), np.full(len(rows), 0.5)),
         )
@@ -226,7 +229,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(6)
         X, y, ids = grouped_dataset()
         report = ev.cross_validate(
-            X, y, ids, plan_for(ids),
+            X, y, folds_for(ids),
             fit_fn=lambda *_: None,
             score_fn=lambda _, rows: (
                 rng.integers(0, 2, len(rows)),
@@ -243,22 +246,6 @@ class TestCrossValidate:
         assert pooled.tn == sum(c.tn for c in report.fold_confusions)
         assert pooled.fn == sum(c.fn for c in report.fold_confusions)
         assert pooled.total == len(y)
-
-    def test_extra_train_rows_join_every_fold(self):
-        X, y, ids = grouped_dataset()
-        extra = [0, 1]  # patient p0's samples ride along as fixed training rows
-        plan = plan_for(np.asarray(ids)[2:])  # folds over the other patients
-        seen_trains = []
-        report = ev.cross_validate(
-            X, y, ids, plan,
-            fit_fn=lambda rows, labels: seen_trains.append(set(float(r[0]) for r in rows)),
-            score_fn=lambda _, rows: (np.ones(len(rows), dtype=int), np.arange(len(rows), dtype=float)),
-            extra_train_indices=extra,
-        )
-        assert len(seen_trains) == 5
-        for train in seen_trains:
-            assert {0.0, 1.0} <= train
-        assert report.pooled_confusion.total == len(y) - len(extra)
 
 
 class TestStudentT:
@@ -319,7 +306,7 @@ class TestReportOutput:
         X, y, ids = grouped_dataset()
         rng = np.random.default_rng(7)
         return ev.cross_validate(
-            X, y, ids, plan_for(ids),
+            X, y, folds_for(ids),
             fit_fn=lambda *_: None,
             score_fn=lambda _, rows: (
                 rng.integers(0, 2, len(rows)),

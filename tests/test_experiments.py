@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ramanfuse import bovw, dataio, experiments, spectral, svm, synth
+from ramanfuse import dataio, experiments, spectral, svm, synth
 
 COHORT = dict(n_patients=12, n_samples=70, dp_size=96, rci_size=24, n_bands=32)
 CONFIG = experiments.PipelineConfig(dp_size=96, rci_size=64, k_dp=12, k_rci=6)
@@ -213,7 +213,7 @@ class TestTwoStageFeatures:
 
     def test_fused_rows_are_bovw_fusion(self, features):
         dp, rci = features.histograms["dp"], features.histograms["rci"]
-        want = [bovw.fuse(a, b, CONFIG.normalize) for a, b in zip(dp, rci)]
+        want = [experiments.feature_row((a, b), CONFIG.normalize) for a, b in zip(dp, rci)]
         assert np.array_equal(features.matrix("fused"), np.array(want))
 
     def test_unknown_modality_rejected(self, features):
@@ -241,6 +241,18 @@ class TestFoldIndices:
             assert len(train) + len(test) == n
             seen[test] += 1
         assert np.all(seen == 1)
+
+    def test_rows_of_patients_in_no_fold_are_on_neither_side(self, features):
+        bare = replace(features, plan=replace(features.plan, reference_patients=()))
+        pids = np.asarray(bare.patient_ids)
+        outside = np.flatnonzero(np.isin(pids, features.plan.reference_patients))
+        assert len(outside)
+        folds = experiments.plan_fold_indices(bare)
+        assert len(folds) == CONFIG.folds
+        for train, test in folds:
+            assert not np.intersect1d(outside, np.concatenate([train, test])).size
+        tested = np.concatenate([test for _, test in folds])
+        assert sorted(tested.tolist() + outside.tolist()) == list(range(len(pids)))
 
 
 class TestRoutes:
@@ -279,14 +291,32 @@ class TestRoutes:
         )
         assert len(report.fold_aucs) == CONFIG.folds
 
-    def test_pls_cv_reference_toggle_is_a_noop_without_reference(self, features):
-        assert len(features.reference_rows)
-        bare = replace(features, plan=replace(features.plan, reference_patients=()))
-        assert not len(bare.reference_rows)
-        pre = spectral.parse_pretreatment("snv")
-        with_flag = experiments.run_pls_cv(bare, pre, 3, include_reference=True)
-        without = experiments.run_pls_cv(bare, pre, 3, include_reference=False)
-        assert with_flag.fold_aucs == without.fold_aucs
+    def test_pls_cv_trains_on_every_reference_median_and_tests_none(
+        self, features, monkeypatch
+    ):
+        seen = {"fit": [], "score": []}
+
+        def recording(pretreatment, n_lv):
+            def fit(X, y):
+                seen["fit"].append(X)
+
+            def score(model, X):
+                seen["score"].append(X)
+                return np.zeros(len(X), dtype=int), np.arange(len(X), dtype=float)
+
+            return fit, score
+
+        monkeypatch.setattr(experiments, "pls_fold_functions", recording)
+        experiments.run_pls_cv(features, spectral.parse_pretreatment("snv"), 3)
+        reference = features.descriptors.medians[features.reference_rows]
+        assert len(reference)
+        folds = experiments.plan_fold_indices(features)
+        assert len(seen["fit"]) == len(seen["score"]) == len(folds)
+        for X_train, X_test, (train, test) in zip(seen["fit"], seen["score"], folds):
+            assert np.array_equal(X_train[-len(reference):], reference)
+            assert np.array_equal(X_train[:-len(reference)], features.medians[train])
+            assert np.array_equal(X_test, features.medians[test])
+            assert not any((reference == row).all(axis=1).any() for row in X_test)
 
 
 class TestGridFeatureSets:

@@ -302,6 +302,11 @@ class TestSelection:
                 lv_values=(1,), n_repeats=3, seed=0,
             )
 
+    def test_empty_menu_rejected(self):
+        X, y = random_problem(20, n=30)
+        with pytest.raises(ValueError, match="menu is empty"):
+            plsda.select_pls_model(X, y, menu=[], lv_values=(1,), n_repeats=3, seed=0)
+
     def test_report_csv(self, tmp_path):
         X, y = random_problem(19, n=30)
         menu = [spectral.parse_pretreatment("none"), spectral.parse_pretreatment("snv")]
