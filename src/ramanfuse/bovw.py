@@ -1,5 +1,5 @@
 """Visual-word dictionaries: k-means clustering of 128-d descriptors,
-nearest-word quantization, count histograms and feature vectors.
+nearest-word quantization, word counts and word-frequency matrices.
 """
 from __future__ import annotations
 
@@ -47,22 +47,6 @@ class VisualDictionary:
     def from_payload(cls, payload: dict) -> "VisualDictionary":
         cents = np.asarray(payload["centroids"], dtype=np.float64)
         return cls(cents, payload["modality"], int(payload["train_seed"]))
-
-
-@dataclass(frozen=True)
-class WordHistogram:
-    counts: np.ndarray  # (k,) integers
-    modality: str
-
-    def __post_init__(self):
-        c = np.asarray(self.counts)
-        if c.ndim != 1 or (c < 0).any():
-            raise ValueError("counts must be a non-negative vector")
-        object.__setattr__(self, "counts", c.astype(np.int64))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,20 +139,19 @@ def kmeans(
     return VisualDictionary(centroids, modality, seed)
 
 
-def encode_descriptors(descriptors: np.ndarray, dictionary: VisualDictionary) -> WordHistogram:
-    """Histogram of raw visual-word counts for precomputed descriptors."""
+def encode_descriptors(descriptors: np.ndarray, dictionary: VisualDictionary) -> np.ndarray:
+    """(k,) int64 visual-word counts of one set of precomputed descriptors."""
     mat = np.asarray(descriptors, dtype=np.float64).reshape(-1, 128)
-    counts = np.zeros(dictionary.k, dtype=np.int64)
-    if mat.shape[0]:
-        labels, _ = _assign(mat, dictionary.centroids)
-        counts = np.bincount(labels, minlength=dictionary.k)
-    return WordHistogram(counts, dictionary.modality)
+    if not mat.shape[0]:
+        return np.zeros(dictionary.k, dtype=np.int64)
+    labels, _ = _assign(mat, dictionary.centroids)
+    return np.bincount(labels, minlength=dictionary.k).astype(np.int64)
 
 
-def feature_vector(hist: WordHistogram, normalize: bool = False) -> np.ndarray:
-    """Histogram as a float feature vector; optional L1 normalization
-    (counts carry tissue-area information, so raw is the default)."""
-    v = hist.counts.astype(np.float64)
-    if normalize and hist.total:
-        v = v / hist.total
-    return v
+def word_frequencies(descriptor_sets, dictionary: VisualDictionary) -> np.ndarray:
+    """(n, k) word frequencies, one row per descriptor set: its counts over
+    its descriptor total. An empty set gives a zero row, no sets (0, k)."""
+    counts = np.array(
+        [encode_descriptors(d, dictionary) for d in descriptor_sets], dtype=np.int64
+    ).reshape(-1, dictionary.k)
+    return counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)

@@ -17,8 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import bovw, dataio, evaluation, experiments, plsda, spectral, svm, synth
-from .errors import DataError, MalformedFile, MissingFile, ModalityMismatch, NumericalError
+from .errors import (
+    DataError, DimMismatch, MalformedFile, MissingFile, ModalityMismatch, NumericalError,
+)
 from .seeds import derive_seed
+from .sift import DESCRIPTOR_LENGTH
 
 TASKS = experiments.TASKS
 MODALITIES = experiments.MODALITIES
@@ -312,24 +315,20 @@ def _cmd_encode(args) -> int:
             raise _UsageError(f"encode --modality {modality} needs --{name}-dict")
         if getattr(dicts[name], "modality", None) != name:
             raise ModalityMismatch(f"--{name}-dict does not hold a {name} dictionary")
+        width = dicts[name].centroids.shape[1]
+        if width != DESCRIPTOR_LENGTH:
+            raise DimMismatch(f"--{name}-dict centroids are {width} wide, "
+                              f"but SIFT descriptors are {DESCRIPTOR_LENGTH} wide")
 
     desc = experiments.extract_cohort(manifest, args.task, cfg, routes=routes)
-    rows = []
-    width = None
-    for i, record in enumerate(desc.manifest.samples):
-        vec = experiments.feature_row(
-            [bovw.encode_descriptors(desc.routes[r][i], dicts[r]) for r in routes],
-            cfg.normalize,
-        )
-        width = len(vec)
-        rows.append(
-            [record.sample_id, record.patient_id, record.label.value, int(desc.y[i])]
-            + [repr(float(v)) for v in vec]
-        )
-
-    header = ["sample_id", "patient_id", "label", "y"] + [
-        f"f{i}" for i in range(width or 0)
+    X = np.hstack([bovw.word_frequencies(desc.routes[r], dicts[r]) for r in routes])
+    rows = [
+        [record.sample_id, record.patient_id, record.label.value, int(y)]
+        + [repr(float(v)) for v in vec]
+        for record, y, vec in zip(desc.manifest.samples, desc.y, X)
     ]
+    width = X.shape[1] if rows else None
+    header = ["sample_id", "patient_id", "label", "y"] + [f"f{i}" for i in range(width or 0)]
     _write_csv(out, header, rows)
     print(f"encoded {len(rows)} samples x {width} features -> {out}")
     return 0
@@ -528,6 +527,9 @@ def _cmd_ttest(args) -> int:
     out = None if args.out is None else _out_path(args, "CSV file")
     a = _read_value_column(args.a)
     b = _read_value_column(args.b)
+    if len(a) != len(b) or len(a) < 2:
+        raise DimMismatch(f"a paired t-test needs two or more pairs, but --a holds {len(a)} "
+                          f"values and --b holds {len(b)}")
     result = evaluation.paired_ttest(a, b)
     header = [
         "mean_diff", "std_diff", "n", "t", "df", "p", "ci_low", "ci_high", "t_crit",
@@ -561,7 +563,13 @@ def _cmd_report(args) -> int:
             header = next(reader, None)
             if header is None or header[:3] != ["task", "modality", "n_reference_sets"]:
                 raise MalformedFile(f"{path} is not a cv summary file")
-            rows.extend(reader)
+            for row in reader:
+                if not "".join(row).strip():
+                    continue
+                if len(row) != len(header):
+                    raise MalformedFile(f"{path} line {reader.line_num} has {len(row)} cells "
+                                        f"where its header has {len(header)}")
+                rows.append(row)
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
 
     header = ["task", "modality", "n_reference_sets", "sensitivity", "specificity", "auc"]

@@ -30,7 +30,6 @@ class PipelineConfig:
     k_rci: int = 20
     folds: int = 5
     reference_fraction: float = 52.0 / 179.0
-    normalize: bool = True
     sift: SiftParams = SiftParams(contrast_threshold=0.02, upsample_first=True)
     svm_config: svm.SvmConfig = svm.SvmConfig(C=10.0, kernel="rbf", gamma=4.0)
 
@@ -114,13 +113,6 @@ def task_records(manifest: CohortManifest, task: str):
 # --- cohort feature construction ---------------------------------------------------
 
 
-def feature_row(histograms, normalize: bool) -> np.ndarray:
-    """One sample's feature vector: its route histograms side by side in
-    ROUTES order (dp before rci), each block normalized on its own so
-    neither modality drowns the other."""
-    return np.concatenate([bovw.feature_vector(h, normalize) for h in histograms])
-
-
 @dataclass(frozen=True)
 class CohortDescriptors:
     """Partition-independent per-sample measurements for one task: SIFT
@@ -145,7 +137,7 @@ class CohortFeatures:
 
     descriptors: CohortDescriptors
     plan: evaluation.FoldPlan
-    histograms: dict    # {route: WordHistogram per classification row}
+    histograms: dict    # {route: word-frequency matrix over the classification rows}
 
     @cached_property
     def _is_reference(self) -> np.ndarray:
@@ -179,13 +171,15 @@ class CohortFeatures:
         return self.descriptors.medians[self.classification_rows]
 
     def matrix(self, modality: str) -> np.ndarray:
+        """The modality's route blocks side by side in ROUTES order (dp
+        before rci); each block is normalized on its own so neither
+        modality drowns the other."""
         routes = ROUTES.get(modality, ())
         missing = [route for route in routes if route not in self.histograms]
         if not routes or missing:
             lacking = f": no {'/'.join(missing)} histograms" if missing else ""
             raise ValueError(f"no {modality!r} feature matrix in these features{lacking}")
-        blocks = [self.histograms[route] for route in routes]
-        return np.array([feature_row(row, self.config.normalize) for row in zip(*blocks)])
+        return np.hstack([self.histograms[route] for route in routes])
 
 
 def extract_cohort(
@@ -238,16 +232,14 @@ def partition_features(
     return features
 
 
-def route_histograms(features: CohortFeatures, modality: str, k: int, seed: int) -> tuple:
+def route_histograms(features: CohortFeatures, modality: str, k: int, seed: int) -> np.ndarray:
     """Build a size-k dictionary from the reference rows' descriptors and
-    encode each classification row against it."""
+    return the classification rows' (rows x k) word frequencies."""
     desc = features.descriptors
     pool = desc.pool(modality, features.reference_rows)
     dictionary = bovw.kmeans(pool, k, seed, modality=modality)
     table = desc.routes[modality]
-    return tuple(
-        bovw.encode_descriptors(table[i], dictionary) for i in features.classification_rows
-    )
+    return bovw.word_frequencies([table[i] for i in features.classification_rows], dictionary)
 
 
 # --- classification routes ---------------------------------------------------------
@@ -310,13 +302,10 @@ def run_pls_cv(
 def grid_feature_sets(features: CohortFeatures, dp_sizes, rci_sizes, seed: int) -> dict:
     """Fused feature matrix per dictionary-size pair, keyed (k_dp, k_rci) in
     ascending enumeration order, reusing the cached descriptors."""
-    normalize = features.config.normalize
     dp_hists = {k: route_histograms(features, "dp", k, seed) for k in sorted(set(dp_sizes))}
     rci_hists = {k: route_histograms(features, "rci", k, seed) for k in sorted(set(rci_sizes))}
     return {
-        (k_dp, k_rci): np.array(
-            [feature_row(pair, normalize) for pair in zip(dp_hists[k_dp], rci_hists[k_rci])]
-        )
+        (k_dp, k_rci): np.hstack([dp_hists[k_dp], rci_hists[k_rci]])
         for k_dp in dp_hists
         for k_rci in rci_hists
     }

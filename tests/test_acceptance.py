@@ -131,11 +131,10 @@ def test_03_grid_geometry_and_fused_feature_length():
     dict_dp = bovw.VisualDictionary(rng.normal(size=(300, 128)), "dp", 0)
     dict_rci = bovw.VisualDictionary(rng.normal(size=(10, 128)), "rci", 0)
     descriptors = rng.normal(size=(64, 128))
-    fused = experiments.feature_row(
-        (bovw.encode_descriptors(descriptors, dict_dp),
-         bovw.encode_descriptors(descriptors, dict_rci)),
-        True,
-    )
+    fused = np.hstack([
+        bovw.word_frequencies([descriptors], dict_dp),
+        bovw.word_frequencies([descriptors], dict_rci),
+    ])
     checks = [
         c_ok,
         gamma_ok,
@@ -143,13 +142,13 @@ def test_03_grid_geometry_and_fused_feature_length():
         n_configs == 20_580,
         300 in bovw.DP_DICTIONARY_SIZES,
         10 in bovw.RCI_DICTIONARY_SIZES,
-        len(fused) == 310,
+        fused.shape == (1, 310),
     ]
     _verdict(
         3,
         all(checks),
         f"|C|={len(svm.C_GRID)} |gamma|={len(svm.GAMMA_GRID)} "
-        f"configs={n_configs} fused_len={len(fused)}",
+        f"configs={n_configs} fused_len={fused.shape[1]}",
     )
 
 

@@ -6,15 +6,13 @@ from ramanfuse.bovw import (
     DP_DICTIONARY_SIZES,
     RCI_DICTIONARY_SIZES,
     VisualDictionary,
-    WordHistogram,
     encode_descriptors,
-    feature_vector,
     _assign,
     kmeans,
+    word_frequencies,
 )
 from ramanfuse.dataio import GreyImage
 from ramanfuse.errors import TooFewDescriptors
-from ramanfuse.experiments import feature_row
 from ramanfuse.sift import descriptor_matrix, extract
 
 from test_sift import blob_field
@@ -33,7 +31,7 @@ def inertia(descriptors: np.ndarray, dictionary: VisualDictionary) -> float:
 
 def quantize(descriptor, dictionary):
     """Visual word of one descriptor: the only bin its histogram fills."""
-    counts = encode_descriptors(descriptor, dictionary).counts
+    counts = encode_descriptors(descriptor, dictionary)
     assert counts.sum() == 1
     return int(np.argmax(counts))
 
@@ -155,15 +153,16 @@ class TestEncode:
         n = len(extract(img))
         assert n > 0
         d = kmeans(np.random.default_rng(10).normal(size=(30, 128)), 10, seed=3)
-        hist = encode(img, d)
-        assert hist.total == n
-        assert (hist.counts >= 0).all()
+        counts = encode(img, d)
+        assert counts.dtype == np.int64 and counts.shape == (10,)
+        assert counts.sum() == n
+        assert (counts >= 0).all()
 
     def test_blank_image_zero_histogram(self):
         d = kmeans(np.random.default_rng(11).normal(size=(30, 128)), 5, seed=3)
-        hist = encode(GreyImage(np.full((32, 32), 66, dtype=np.uint8)), d)
-        assert hist.total == 0
-        assert len(hist.counts) == 5
+        counts = encode(GreyImage(np.full((32, 32), 66, dtype=np.uint8)), d)
+        assert counts.sum() == 0
+        assert len(counts) == 5
 
     def test_side_by_side_duplication_doubles_counts(self):
         # both canvases give each copy identical flat surroundings; bare
@@ -179,16 +178,16 @@ class TestEncode:
         d = kmeans(descs, 8, seed=5)
         h1 = encode(GreyImage(single), d)
         h2 = encode(GreyImage(doubled), d)
-        assert h1.total >= 10
-        assert 1.8 <= h2.total / h1.total <= 2.2
-        for c1, c2 in zip(h1.counts, h2.counts):
+        assert h1.sum() >= 10
+        assert 1.8 <= h2.sum() / h1.sum() <= 2.2
+        for c1, c2 in zip(h1, h2):
             if c1 >= 5:
                 assert 1.6 * c1 <= c2 <= 2.4 * c1
 
     def test_deterministic(self):
         img = blob_field(np.random.default_rng(14))
         d = kmeans(np.random.default_rng(15).normal(size=(40, 128)), 8, seed=6)
-        assert np.array_equal(encode(img, d).counts, encode(img, d).counts)
+        assert np.array_equal(encode(img, d), encode(img, d))
 
 
 class TestBuildDictionary:
@@ -211,33 +210,61 @@ class TestBuildDictionary:
             kmeans(self.pooled([blank]), k=5, seed=1)
 
 
-class TestFusion:
-    """Fused rows are experiments.feature_row over the (dp, rci) histograms."""
+class TestWordFrequencies:
+    """A route's rows are word_frequencies of its descriptor sets; fused rows
+    are the dp block, then the rci block, side by side."""
 
-    def hist(self, k, modality, value=0):
-        counts = np.full(k, value, dtype=np.int64)
-        return WordHistogram(counts, modality)
+    @staticmethod
+    def dictionary(k, modality, seed=0):
+        centroids = np.random.default_rng(seed).normal(size=(k, 128))
+        return VisualDictionary(centroids, modality, train_seed=seed)
+
+    @staticmethod
+    def words(dictionary, counts):
+        """A descriptor set holding counts[w] copies of centroid w."""
+        return np.repeat(dictionary.centroids, counts, axis=0)
 
     def test_fused_lengths(self):
-        assert len(feature_row((self.hist(300, "dp"), self.hist(10, "rci")), False)) == 310
-        assert len(feature_row((self.hist(300, "dp"), self.hist(5, "rci")), False)) == 305
+        dp = self.dictionary(300, "dp")
+        for k_rci, width in ((10, 310), (5, 305)):
+            rci = self.dictionary(k_rci, "rci", seed=1)
+            fused = np.hstack([
+                word_frequencies([self.words(dp, [1] * 300)], dp),
+                word_frequencies([self.words(rci, [1] * k_rci)], rci),
+            ])
+            assert fused.shape == (1, width)
 
     def test_dp_block_first(self):
-        f = feature_row((self.hist(4, "dp", 2), self.hist(3, "rci", 7)), False)
-        assert list(f) == [2, 2, 2, 2, 7, 7, 7]
+        dp, rci = self.dictionary(4, "dp"), self.dictionary(3, "rci", seed=1)
+        fused = np.hstack([
+            word_frequencies([self.words(dp, [2, 2, 2, 2])], dp),
+            word_frequencies([self.words(rci, [7, 7, 7])], rci),
+        ])
+        assert fused.tolist() == [[0.25] * 4 + [7 / 21] * 3]
 
-    def test_zero_histograms(self):
-        f = feature_row((self.hist(6, "dp"), self.hist(2, "rci")), True)
-        assert not f.any() and len(f) == 8
+    def test_rows_sum_to_one(self):
+        d = self.dictionary(6, "dp")
+        rng = np.random.default_rng(2)
+        sets = [self.words(d, rng.integers(0, 5, size=6) + (np.arange(6) == 0)) for _ in range(5)]
+        assert np.allclose(word_frequencies(sets, d).sum(axis=1), 1.0)
 
-    def test_normalized_blocks(self):
-        f = feature_row((self.hist(4, "dp", 2), self.hist(2, "rci", 3)), True)
-        assert np.allclose(f[:4], 0.25) and np.allclose(f[4:], 0.5)
+    def test_empty_set_gives_a_zero_row(self):
+        dp, rci = self.dictionary(6, "dp"), self.dictionary(2, "rci", seed=1)
+        empty = [np.zeros((0, 128))]
+        fused = np.hstack([word_frequencies(empty, dp), word_frequencies(empty, rci)])
+        assert fused.shape == (1, 8) and not fused.any()
 
-    def test_feature_vector_normalization(self):
-        h = self.hist(5, "dp", 4)
-        assert np.allclose(feature_vector(h, normalize=True).sum(), 1.0)
-        assert np.allclose(feature_vector(h), h.counts)
+    def test_no_sets_give_zero_rows(self):
+        assert word_frequencies([], self.dictionary(7, "rci")).shape == (0, 7)
+
+    def test_rows_are_counts_over_total_bit_for_bit(self):
+        d = self.dictionary(9, "dp")
+        rng = np.random.default_rng(3)
+        sets = [rng.normal(size=(n, 128)) for n in (1, 3, 17, 40)]
+        got = word_frequencies(sets, d)
+        for row, descriptors in zip(got, sets):
+            counts = encode_descriptors(descriptors, d)
+            assert np.array_equal(row, counts.astype(np.float64) / int(counts.sum()))
 
 
 class TestPersistence:

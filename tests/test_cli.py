@@ -284,6 +284,21 @@ class TestDictionaryCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "--dp-dict does not hold a dp dictionary" in err[0]
 
+    @pytest.mark.parametrize("route", ["dp", "rci"])
+    def test_encode_rejects_a_dictionary_of_another_width_before_any_cube_is_loaded(
+        self, manifest, dictionaries, no_cubes, tmp_path, capsys, route
+    ):
+        paths = dict(zip(("dp", "rci"), map(str, dictionaries)))
+        paths[route] = str(tmp_path / "narrow.json")
+        dataio.save_model(bovw.VisualDictionary(np.ones((4, 5)), route, 0), paths[route])
+        assert cli.main([
+            "encode", "--manifest", manifest, "--modality", "fused",
+            "--dp-dict", paths["dp"], "--rci-dict", paths["rci"],
+            "--out", str(tmp_path / "x.csv"),
+        ]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"--{route}-dict centroids are 5 wide" in err[0]
+
     def test_cli_dictionaries_and_rows_match_partition_features(
         self, manifest, dictionaries, tmp_path
     ):
@@ -750,6 +765,15 @@ class TestTTest:
         b.write_text("x\n1.0\n")
         assert cli.main(["ttest", "--a", str(a), "--b", str(b)]) == 2
 
+    @pytest.mark.parametrize("n_a, n_b", [(3, 2), (1, 1)], ids=["unequal", "one-pair"])
+    def test_unpaired_value_counts_are_a_data_error(self, tmp_path, capsys, n_a, n_b):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("x\n" + "".join(f"{i}.0\n" for i in range(n_a)))
+        b.write_text("x\n" + "".join(f"{i}.5\n" for i in range(n_b)))
+        assert cli.main(["ttest", "--a", str(a), "--b", str(b)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"--a holds {n_a} values and --b holds {n_b}" in err[0]
+
 
 class TestReport:
     def test_stacks_summaries(self, cv_fused_dir, manifest, tmp_path):
@@ -766,3 +790,25 @@ class TestReport:
         bogus = tmp_path / "bogus.csv"
         bogus.write_text("alpha,beta\n1,2\n")
         assert cli.main(["report", "--inputs", str(bogus)]) == 2
+
+    def test_skips_blank_lines(self, cv_fused_dir, tmp_path):
+        summary = (cv_fused_dir / "summary.csv").read_text()
+        padded = tmp_path / "padded.csv"
+        padded.write_text(summary + "\n\n")
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        assert cli.main(["report", "--inputs", str(cv_fused_dir / "summary.csv"),
+                         "--out", str(want)]) == 0
+        assert cli.main(["report", "--inputs", str(padded), "--out", str(got)]) == 0
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("row", ["nc-c,dp", "nc-c,dp,1,0.5,0.5,0.5,extra"],
+                             ids=["short", "long"])
+    def test_a_row_of_another_width_is_a_data_error(self, tmp_path, capsys, row):
+        summary = tmp_path / "s.csv"
+        summary.write_text(
+            "task,modality,n_reference_sets,sensitivity,specificity,auc\n"
+            f"nc-c,fused,1,0.9,0.8,0.85\n{row}\n"
+        )
+        assert cli.main(["report", "--inputs", str(summary)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "line 3 has" in err[0]

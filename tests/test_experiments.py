@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ramanfuse import dataio, experiments, spectral, svm, synth
+from ramanfuse import bovw, dataio, experiments, spectral, svm, synth
 
 COHORT = dict(n_patients=12, n_samples=70, dp_size=96, rci_size=24, n_bands=32)
 CONFIG = experiments.PipelineConfig(dp_size=96, rci_size=64, k_dp=12, k_rci=6)
@@ -211,10 +211,19 @@ class TestTwoStageFeatures:
         stacked = np.hstack([features.matrix("dp"), features.matrix("rci")])
         assert np.allclose(features.matrix("fused"), stacked)
 
-    def test_fused_rows_are_bovw_fusion(self, features):
-        dp, rci = features.histograms["dp"], features.histograms["rci"]
-        want = [experiments.feature_row((a, b), CONFIG.normalize) for a, b in zip(dp, rci)]
-        assert np.array_equal(features.matrix("fused"), np.array(want))
+    def test_fused_rows_are_bovw_fusion(self, features, descriptors):
+        blocks = []
+        for route, k in (("dp", CONFIG.k_dp), ("rci", CONFIG.k_rci)):
+            pool = descriptors.pool(route, features.reference_rows)
+            dictionary = bovw.kmeans(pool, k, 0, modality=route)
+            table = descriptors.routes[route]
+            counts = np.array([
+                bovw.encode_descriptors(table[i], dictionary)
+                for i in features.classification_rows
+            ])
+            blocks.append(counts / np.maximum(counts.sum(axis=1, keepdims=True), 1))
+            assert np.array_equal(features.histograms[route], blocks[-1])
+        assert np.array_equal(features.matrix("fused"), np.hstack(blocks))
 
     def test_unknown_modality_rejected(self, features):
         with pytest.raises(ValueError):
