@@ -3,7 +3,8 @@ nearest-word quantization, word counts and word-frequency matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +22,11 @@ class VisualDictionary:
     centroids: np.ndarray  # (k, 128)
     modality: str          # "dp" | "rci"
     train_seed: int
+    # Report of the k-means run that made the dictionary: Lloyd iterations
+    # taken and the largest centroid shift of the last one (below tol when
+    # it converged, tol or above when max_iter ran out). Not saved.
+    n_iter: int | None = field(default=None, compare=False)
+    shift: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=np.float64)
@@ -108,7 +114,9 @@ def kmeans(
     """Lloyd's algorithm with k-means++ seeding.
 
     Empty clusters are re-seeded to the point farthest from its current
-    centroid. Stops when the largest centroid shift drops below tol.
+    centroid. Stops when the largest centroid shift drops below tol, or
+    after max_iter iterations; the dictionary reports the iterations taken
+    and the last shift.
     """
     points = np.asarray(descriptors, dtype=np.float64)
     if points.ndim != 2:
@@ -121,7 +129,8 @@ def kmeans(
 
     rng = rng_for(seed, "kmeans", modality, k)
     centroids = _plus_plus_init(points, k, rng)
-    for _ in range(max_iter):
+    n_iter, shift = 0, math.inf
+    for n_iter in range(1, max_iter + 1):
         labels, dist2 = _assign(points, centroids)
         new = np.zeros_like(centroids)
         counts = np.bincount(labels, minlength=k).astype(np.float64)
@@ -132,11 +141,11 @@ def kmeans(
             far = int(np.argmax(dist2))
             new[empty] = points[far]
             dist2[far] = 0.0
-        shift = np.sqrt(((new - centroids) ** 2).sum(axis=1)).max()
+        shift = float(np.sqrt(((new - centroids) ** 2).sum(axis=1)).max())
         centroids = new
         if shift < tol:
             break
-    return VisualDictionary(centroids, modality, seed)
+    return VisualDictionary(centroids, modality, seed, n_iter=n_iter, shift=shift)
 
 
 def encode_descriptors(descriptors: np.ndarray, dictionary: VisualDictionary) -> np.ndarray:

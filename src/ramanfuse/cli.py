@@ -26,6 +26,7 @@ from .sift import DESCRIPTOR_LENGTH
 TASKS = experiments.TASKS
 MODALITIES = experiments.MODALITIES
 REFERENCE_SET_COUNTS = (1, 10)
+SUMMARY_HEADER = ["task", "modality", "n_reference_sets", "sensitivity", "specificity", "auc"]
 
 # Per-task median-spectrum defaults (pretreatment, latent variables).
 PLS_DEFAULTS = {
@@ -419,11 +420,7 @@ def _cmd_cv(args) -> int:
         "%.6f" % np.mean(spec_),
         "%.6f" % np.mean(aucs),
     ]
-    _write_csv(
-        out / "summary.csv",
-        ["task", "modality", "n_reference_sets", "sensitivity", "specificity", "auc"],
-        [row],
-    )
+    _write_csv(out / "summary.csv", SUMMARY_HEADER, [row])
     print(
         f"{task} {modality} over {n_sets} reference set(s): "
         f"sensitivity {row[3]}, specificity {row[4]}, AUC {row[5]}"
@@ -561,8 +558,9 @@ def _cmd_report(args) -> int:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or header[:3] != ["task", "modality", "n_reference_sets"]:
-                raise MalformedFile(f"{path} is not a cv summary file")
+            if header != SUMMARY_HEADER:
+                raise MalformedFile(f"{path} is not a cv summary file: its header is not "
+                                    f"{','.join(SUMMARY_HEADER)}")
             for row in reader:
                 if not "".join(row).strip():
                     continue
@@ -572,12 +570,11 @@ def _cmd_report(args) -> int:
                 rows.append(row)
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
 
-    header = ["task", "modality", "n_reference_sets", "sensitivity", "specificity", "auc"]
     if out is not None:
-        _write_csv(out, header, rows)
+        _write_csv(out, SUMMARY_HEADER, rows)
         print(f"combined table -> {out}")
-    widths = [max(len(h), 14) for h in header]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+    widths = [max(len(h), 14) for h in SUMMARY_HEADER]
+    print("  ".join(h.ljust(w) for h, w in zip(SUMMARY_HEADER, widths)))
     for row in rows:
         print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
     return 0

@@ -177,7 +177,9 @@ def load_manifest(path) -> CohortManifest:
     entries = doc["samples"]
     if not isinstance(entries, list) or not entries:
         raise MalformedManifest("manifest lists no samples")
-    seed = int(doc.get("seed", 0))
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise MalformedManifest(f"manifest seed must be an integer, got {seed!r}")
     root = path.parent
     samples = []
     seen_pairs = set()
@@ -322,7 +324,7 @@ def _read_pnm_header(fh):
                 yield tok
 
     it = tokens()
-    magic = next(it).decode("ascii")
+    magic = next(it).decode("ascii", errors="replace")
     try:
         width = int(next(it))
         height = int(next(it))
@@ -343,8 +345,13 @@ def load_image(path) -> GreyImage | RgbImage:
             raise MalformedFile(f"unsupported image magic {magic!r}")
         if maxval != 255:
             raise MalformedFile("only 8-bit images supported")
+        if width <= 0 or height <= 0:
+            raise MalformedFile(f"image size must be positive, got {width}x{height}")
         channels = 1 if magic == "P5" else 3
         count = width * height * channels
+        if count > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise TruncatedData(f"image declares {width}x{height} pixels, "
+                                "more than the file holds")
         raw = fh.read(count)
         if len(raw) != count:
             raise TruncatedData("image payload short")

@@ -69,10 +69,13 @@ class SvmModel:
     C: float
     platt_a: float | None = None
     platt_b: float | None = None
-    # Solver report of the fit that made the model: SMO steps taken and the
-    # final KKT gap (above the fit's tol when max_iter ran out). Not saved.
+    # Solver report of the fit that made the model: SMO steps taken, the
+    # final KKT gap (above the fit's tol when max_iter ran out) and the full
+    # dual solution, one alpha per training row (a start for the next fit).
+    # Not saved.
     n_iter: int | None = field(default=None, compare=False)
     kkt_gap: float | None = field(default=None, compare=False)
+    alpha: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         sv, coef = np.asarray(self.support_vectors), np.asarray(self.dual_coef)
@@ -116,15 +119,19 @@ def train(
     cfg: SvmConfig = SvmConfig(),
     *,
     gram: np.ndarray | None = None,
+    alpha0: np.ndarray | None = None,
 ) -> SvmModel:
     """SMO on the dual problem, maximal-violating-pair working set.
 
     The dual gradient is kept incrementally as g = -y * grad; iteration
     stops when the KKT violation gap m(alpha) - M(alpha), the largest g over
     I_up minus the smallest over I_low, drops to cfg.tol, or after
-    cfg.max_iter steps. The model reports the steps taken and the final gap.
-    gram, when given, is the kernel matrix of X with itself under cfg,
-    computed by the caller (the grid search shares one across C).
+    cfg.max_iter steps. The model reports the steps taken, the final gap
+    and the dual solution. gram, when given, is the kernel matrix of X with
+    itself under cfg, computed by the caller (the grid search shares one
+    across C). alpha0, when given, is a feasible start (0 <= alpha0 <= C,
+    y @ alpha0 = 0), e.g. the solution at a smaller C (alpha seeding, as in
+    DeCoste & Wagstaff, KDD 2000); the default starts from zeros.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -143,22 +150,35 @@ def train(
             raise ValueError("gram must be the n x n kernel matrix of X")
         _check_finite(K)
 
+    C = float(cfg.C)
+    if alpha0 is None:
+        alpha0 = np.zeros(n)
+    else:
+        alpha0 = np.asarray(alpha0, dtype=np.float64)
+        if alpha0.shape != (n,):
+            raise ValueError(f"alpha0 must hold one value per row of X, got shape {alpha0.shape}")
+        if not ((alpha0 >= 0.0) & (alpha0 <= C)).all():
+            raise ValueError(f"alpha0 must lie in [0, C] = [0, {C!r}]")
+        if abs(float(y @ alpha0)) > 1e-9 * C * n:
+            raise ValueError("alpha0 must satisfy y @ alpha0 = 0")
+
     Q = (y[:, None] * y[None, :]) * K
     qd = np.diag(Q).tolist()
     # Rows of Q times -y: since y is +/-1, adding them to g is exactly the
     # sign-flipped update of grad, so g holds the values of -y * grad.
     Q_g = Q * (-y)[None, :]
-    g = y.copy()                 # -y * grad at alpha = 0, where grad = -1
+    # -y * grad, where grad = Q alpha - 1 (at alpha = 0, y itself)
+    g = y - y * (Q @ alpha0) if alpha0.any() else y.copy()
     labels = y.tolist()
-    alpha = [0.0] * n
-    C = float(cfg.C)
+    alpha = alpha0.tolist()
     # Working-set masks as additive penalties: 0 inside, -inf/+inf outside
     # I_up (alpha < C for y = +1, alpha > 0 for y = -1) and I_low (alpha > 0
-    # for y = +1, alpha < C for y = -1); all alpha start at 0. argmax/argmin
-    # of g + penalty pick the first extreme index inside the mask; the gap
-    # and the bias read g itself.
-    pen_up = np.where(y > 0, 0.0, -math.inf)
-    pen_low = np.where(y < 0, 0.0, math.inf)
+    # for y = +1, alpha < C for y = -1). argmax/argmin of g + penalty pick
+    # the first extreme index inside the mask; the gap and the bias read g
+    # itself.
+    pos = y > 0
+    pen_up = np.where(np.where(pos, alpha0 < C, alpha0 > 0), 0.0, -math.inf)
+    pen_low = np.where(np.where(pos, alpha0 > 0, alpha0 < C), 0.0, math.inf)
     g_up, g_low = np.empty(n), np.empty(n)
 
     n_iter = 0
@@ -242,6 +262,7 @@ def train(
         C=cfg.C,
         n_iter=n_iter,
         kkt_gap=gap,
+        alpha=alpha,
     )
 
 
@@ -391,7 +412,9 @@ def _fold_grams(X: np.ndarray, folds) -> list:
 
 def _evaluate_group(shared, group):
     """Fold accuracies of every configuration of one (feature set, kernel,
-    gamma) group; each fold's kernel matrix is built once for all its C."""
+    gamma) group; each fold's kernel matrix is built once for all its C.
+    Each fit starts from the previous fit's dual solution, which is feasible
+    when C does not decrease; a fit at a smaller C starts from zeros."""
     matrices, grams, y, folds = shared
     key, configs = group
     X = matrices[key]
@@ -401,8 +424,10 @@ def _evaluate_group(shared, group):
         X_train, y_train = X[train_idx], y[train_idx]
         X_test, y_test = X[test_idx], y[test_idx]
         gram = ab if kernel == "linear" else _rbf(d2, gamma)
+        model = None
         for cfg, fold_accs in zip(configs, accs):
-            model = train(X_train, y_train, cfg, gram=gram)
+            alpha0 = model.alpha if model is not None and cfg.C >= model.C else None
+            model = train(X_train, y_train, cfg, gram=gram, alpha0=alpha0)
             fold_accs.append(float((predict(model, X_test) == y_test).mean()))
     return [tuple(a) for a in accs]
 

@@ -78,6 +78,16 @@ class TestKmeans:
         ]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
+    def test_reports_iterations_and_last_shift(self):
+        pts = np.random.default_rng(3).normal(size=(200, 16))
+        capped = kmeans(pts, 5, seed=7, max_iter=1, tol=1e-6)
+        assert capped.n_iter == 1 and capped.shift >= 1e-6
+        done = kmeans(pts, 5, seed=7, tol=1e-6)
+        assert 1 < done.n_iter < 300 and done.shift < 1e-6
+        again = kmeans(pts, 5, seed=7, max_iter=done.n_iter, tol=1e-6)
+        assert np.array_equal(again.centroids, done.centroids)
+        assert (again.n_iter, again.shift) == (done.n_iter, done.shift)
+
     def test_duplicate_heavy_data_terminates(self):
         pts = np.zeros((10, 128))
         pts[5:, 0] = 10.0  # two distinct locations, k=3 forces an empty cluster
@@ -277,3 +287,12 @@ class TestPersistence:
         assert isinstance(back, VisualDictionary)
         assert back.modality == "rci" and back.train_seed == 9
         assert np.array_equal(back.centroids, d.centroids)
+
+    def test_report_stays_out_of_the_saved_dictionary(self, tmp_path):
+        d = kmeans(np.random.default_rng(18).normal(size=(50, 128)), 7, seed=9)
+        assert d.n_iter is not None and d.shift is not None
+        assert not {"n_iter", "shift"} & set(d.to_payload())
+        path = tmp_path / "dict.model"
+        dataio.save_model(d, path)
+        back = dataio.load_model(path)
+        assert back.n_iter is None and back.shift is None

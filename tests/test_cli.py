@@ -201,6 +201,34 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and last.sample_id in err[0]
 
+    @pytest.mark.parametrize("header", [
+        b"P6\n-3 32\n255\n", b"P6\n32 0\n255\n", b"P6\n100000 100000\n255\n",
+        b"\xff\xfe\n32 32\n255\n",
+    ], ids=["negative-width", "zero-height", "oversized", "non-ascii-magic"])
+    def test_bad_image_header_is_a_one_line_data_error(self, tmp_path, capsys, header):
+        cohort = synth.generate(synth.SynthSpec(
+            n_patients=3, n_samples=6, dp_size=32, rci_size=8, n_bands=32, seed=1), tmp_path)
+        cohort.samples[0].dp_path.write_bytes(header + b"\x00\x01\x02")
+        assert cli.main([
+            "preprocess", "--manifest", str(tmp_path / synth.MANIFEST_NAME),
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "data error" in err[0]
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, False])
+    def test_manifest_seed_that_is_not_an_integer_is_a_data_error(
+        self, tmp_path, capsys, no_cubes, seed
+    ):
+        synth.generate(synth.SynthSpec(
+            n_patients=3, n_samples=6, dp_size=32, rci_size=8, n_bands=32, seed=1), tmp_path)
+        path = tmp_path / synth.MANIFEST_NAME
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "seed": seed}))
+        assert cli.main(["preprocess", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "seed" in err[0]
+
     def test_numerical_failure_maps_to_exit_3(self, monkeypatch, tmp_path):
         def boom(args):
             raise NumericalError("probe")
@@ -800,6 +828,21 @@ class TestReport:
                          "--out", str(want)]) == 0
         assert cli.main(["report", "--inputs", str(padded), "--out", str(got)]) == 0
         assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("header, row", [
+        ("task,modality,n_reference_sets", "nc-c,dp,1"),
+        ("task,modality,n_reference_sets,sensitivity,specificity,auc,extra",
+         "nc-c,dp,1,0.5,0.5,0.5,x"),
+        ("task,modality,n_reference_sets,auc,specificity,sensitivity", "nc-c,dp,1,0.5,0.5,0.5"),
+    ], ids=["short", "long", "reordered"])
+    def test_a_header_other_than_the_summary_header_is_a_data_error(
+        self, tmp_path, capsys, header, row
+    ):
+        summary = tmp_path / "s.csv"
+        summary.write_text(f"{header}\n{row}\n")
+        assert cli.main(["report", "--inputs", str(summary)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "is not a cv summary file" in err[0]
 
     @pytest.mark.parametrize("row", ["nc-c,dp", "nc-c,dp,1,0.5,0.5,0.5,extra"],
                              ids=["short", "long"])

@@ -75,6 +75,21 @@ class TestManifest:
         with pytest.raises(MalformedManifest):
             dataio.load_manifest(path)
 
+    @pytest.mark.parametrize("seed", ["x", "7", 7.0, True, None, [7]])
+    def test_seed_that_is_not_an_integer_rejected(self, tmp_path, seed):
+        entries = [entry("p1", "s1")]
+        write_stub_files(tmp_path, ["s1_dp.pgm", "s1_rci.pgm"])
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest_doc(entries, seed=seed)))
+        with pytest.raises(MalformedManifest, match="seed"):
+            dataio.load_manifest(path)
+
+    def test_absent_seed_defaults_to_zero(self, tmp_path):
+        write_stub_files(tmp_path, ["s1_dp.pgm", "s1_rci.pgm"])
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"samples": [entry("p1", "s1")]}))
+        assert dataio.load_manifest(path).seed == 0
+
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest_doc([])))
@@ -203,6 +218,23 @@ class TestImages:
         path.write_bytes(b"P5\n2 2\n255\n\x00\x01")
         with pytest.raises(TruncatedData):
             dataio.load_image(path)
+
+    @pytest.mark.parametrize("header, error", [
+        (b"P5\n0 2\n255\n", MalformedFile),
+        (b"P6\n2 -3\n255\n", MalformedFile),
+        (b"P6\n100000 100000\n255\n", TruncatedData),
+        (b"\xff\xfe\n1 1\n255\n", MalformedFile),
+    ], ids=["zero-width", "negative-height", "oversized", "non-ascii-magic"])
+    def test_bad_header_rejected_before_the_payload_is_read(self, tmp_path, header, error):
+        path = tmp_path / "i.ppm"
+        path.write_bytes(header + b"\x00\x01\x02")
+        with pytest.raises(error):
+            dataio.load_image(path)
+
+    def test_trailing_bytes_after_the_payload_are_ignored(self, tmp_path):
+        path = tmp_path / "i.pgm"
+        path.write_bytes(b"P5\n1 1\n255\n\x7f\x00")
+        assert dataio.load_image(path).pixels.tolist() == [[127]]
 
     def test_mask_round_trip(self, tmp_path):
         mask = np.array([[True, False], [False, True]])

@@ -172,12 +172,20 @@ class TestSolverReport:
     def test_report_stays_out_of_the_saved_model(self, tmp_path):
         X, y = tiny_dataset()
         model = svm.calibrate(svm.train(X, y, svm.SvmConfig(C=10.0)), X, y)
-        assert model.n_iter is not None
-        assert not {"n_iter", "kkt_gap"} & set(model.to_payload())
+        assert model.n_iter is not None and model.alpha is not None
+        assert not {"n_iter", "kkt_gap", "alpha"} & set(model.to_payload())
         path = tmp_path / "clf.json"
         dataio.save_model(model, path)
         loaded = dataio.load_model(path)
-        assert loaded.n_iter is None and loaded.kkt_gap is None
+        assert loaded.n_iter is None and loaded.kkt_gap is None and loaded.alpha is None
+
+    def test_alpha_is_the_full_dual_solution(self):
+        X, y = tiny_dataset()
+        model = svm.train(X, y, svm.SvmConfig(C=10.0, kernel="rbf", gamma=1.0))
+        kept = model.alpha > 1e-12
+        assert model.alpha.shape == y.shape
+        assert np.array_equal(model.dual_coef, (model.alpha * y)[kept])
+        assert np.array_equal(model.support_vectors, X[kept])
 
 
 class TestPrecomputedGram:
@@ -198,6 +206,50 @@ class TestPrecomputedGram:
             svm.train(X, y, svm.SvmConfig(), gram=gram)
         with pytest.raises(ValueError):
             svm.train(X, y, svm.SvmConfig(), gram=np.eye(len(y) - 1))
+
+
+class TestAlphaSeed:
+    def test_zero_start_gives_the_cold_fit(self):
+        X, y = tiny_dataset()
+        cfg = svm.SvmConfig(C=10.0, kernel="rbf", gamma=1.0)
+        cold, zero = svm.train(X, y, cfg), svm.train(X, y, cfg, alpha0=np.zeros(len(y)))
+        for name in ("support_vectors", "dual_coef", "alpha"):
+            assert np.array_equal(getattr(cold, name), getattr(zero, name)), name
+        assert (cold.bias, cold.n_iter, cold.kkt_gap) == (zero.bias, zero.n_iter, zero.kkt_gap)
+
+    @pytest.mark.parametrize("kernel, gamma", [("linear", 1.0), ("rbf", 2.0**-3)])
+    def test_seeded_chain_along_c_converges_in_fewer_steps(self, kernel, gamma):
+        gold = np.load(GOLDEN)
+        X, y = gold["X"], gold["y"]
+        cold_steps = seeded_steps = 0
+        model = None
+        for c in svm.C_GRID:
+            cfg = svm.SvmConfig(C=c, kernel=kernel, gamma=gamma)
+            cold_steps += svm.train(X, y, cfg).n_iter
+            model = svm.train(X, y, cfg, alpha0=None if model is None else model.alpha)
+            assert model.kkt_gap <= cfg.tol, cfg
+            seeded_steps += model.n_iter
+        assert seeded_steps < cold_steps
+
+    @pytest.mark.parametrize("value, message", [
+        (-1e-12, r"\[0, C\]"), (np.nextafter(2.0, 3.0), r"\[0, C\]"), (np.nan, r"\[0, C\]"),
+        (1.0 + 2e-9 * 2.0 * 60, "y @ alpha0"),
+    ], ids=["negative", "above-c", "nan", "unbalanced"])
+    def test_infeasible_start_rejected(self, value, message):
+        X, y = tiny_dataset()  # 30 rows per class, so a constant alpha is balanced
+        alpha0 = np.full(len(y), 1.0)
+        alpha0[int(np.argmax(y > 0))] = value
+        with pytest.raises(ValueError, match=message):
+            svm.train(X, y, svm.SvmConfig(C=2.0), alpha0=alpha0)
+
+    def test_start_within_the_balance_slack_is_accepted_and_a_short_one_is_not(self):
+        X, y = tiny_dataset()
+        cfg = svm.SvmConfig(C=2.0)
+        alpha0 = np.full(len(y), 1.0)
+        alpha0[int(np.argmax(y > 0))] += 0.5e-9 * cfg.C * len(y)
+        assert svm.train(X, y, cfg, alpha0=alpha0).kkt_gap <= cfg.tol
+        with pytest.raises(ValueError, match="one value per row"):
+            svm.train(X, y, cfg, alpha0=alpha0[1:])
 
 
 class TestOracle:
@@ -430,6 +482,57 @@ class TestGridSearch:
         parallel = svm.grid_search({("f",): X}, y, two_folds(60), jobs=2, **kwargs)
         assert serial.rows == parallel.rows
         assert serial.best == parallel.best
+
+    def test_each_fit_starts_from_the_previous_c(self, monkeypatch):
+        X, y = tiny_dataset()
+        fits = []
+        real_train = svm.train
+
+        def train(X_, y_, cfg, **kwargs):
+            model = real_train(X_, y_, cfg, **kwargs)
+            fits.append((cfg.C, kwargs.get("alpha0"), model))
+            return model
+
+        monkeypatch.setattr(svm, "train", train)
+        svm.grid_search({("a",): X}, y, two_folds(len(y)), c_grid=(0.5, 2.0, 8.0),
+                        kernels=("linear",))
+        assert [c for c, _, _ in fits] == [0.5, 2.0, 8.0] * 2
+        for n, (_, alpha0, _) in enumerate(fits):
+            if n % 3 == 0:
+                assert alpha0 is None
+            else:
+                assert np.array_equal(alpha0, fits[n - 1][2].alpha)
+
+    def test_unsorted_c_axis_matches_cold_fits(self):
+        X, y = tiny_dataset()
+        folds = two_folds(len(y))
+        c_grid = (4.0, 0.5, 2.0, 2.0)
+        result = svm.grid_search({("a",): X}, y, folds, c_grid=c_grid,
+                                 gamma_grid=(1.0,), kernels=("rbf",), tol=1e-8)
+        for row, c in zip(result.rows, c_grid):
+            cfg = svm.SvmConfig(C=c, kernel="rbf", gamma=1.0, tol=1e-8)
+            cold = tuple(
+                float((svm.predict(svm.train(X[tr], y[tr], cfg), X[te]) == y[te]).mean())
+                for tr, te in folds
+            )
+            assert row[4] == cold, c
+
+    def test_decreasing_c_starts_cold(self):
+        # At C = 29 the ring/core folds have alphas clamped to exactly 29, and
+        # 29 * fl(15 / 29) rounds to one step above 15: a scaled seed would
+        # leave [0, C], so the fit at 15 must not be seeded from the one at 29.
+        X, y = tiny_dataset()
+        folds = two_folds(len(y))
+        for tr, _ in folds:
+            model = svm.train(X[tr], y[tr], svm.SvmConfig(C=29.0, kernel="linear"))
+            assert (model.alpha == 29.0).any()
+        result = svm.grid_search({("a",): X}, y, folds, c_grid=(29.0, 15.0), kernels=("linear",))
+        cfg = svm.SvmConfig(C=15.0, kernel="linear")
+        cold = tuple(
+            float((svm.predict(svm.train(X[tr], y[tr], cfg), X[te]) == y[te]).mean())
+            for tr, te in folds
+        )
+        assert (result.rows[1][2], result.rows[1][4]) == (15.0, cold)
 
     def test_report_round_trip(self, tmp_path):
         X, y = tiny_dataset(5)
