@@ -4,7 +4,7 @@ nearest-word quantization, word counts and word-frequency matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ RCI_DICTIONARY_SIZES = (5, 10, 25, 50, 100, 200, 300)
 _ASSIGN_CHUNK = 4096  # keeps the n*k distance matrix off the heap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisualDictionary:
     centroids: np.ndarray  # (k, 128)
     modality: str          # "dp" | "rci"
@@ -25,8 +25,8 @@ class VisualDictionary:
     # Report of the k-means run that made the dictionary: Lloyd iterations
     # taken and the largest centroid shift of the last one (below tol when
     # it converged, tol or above when max_iter ran out). Not saved.
-    n_iter: int | None = field(default=None, compare=False)
-    shift: float | None = field(default=None, compare=False)
+    n_iter: int | None = None
+    shift: float | None = None
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=np.float64)

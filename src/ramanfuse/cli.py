@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import bovw, dataio, evaluation, experiments, plsda, spectral, svm, synth
 from .errors import (
-    DataError, DimMismatch, MalformedFile, MissingFile, ModalityMismatch, NumericalError,
+    DataError, DimMismatch, MalformedFile, ModalityMismatch, NumericalError,
 )
 from .seeds import derive_seed
 from .sift import DESCRIPTOR_LENGTH
@@ -132,15 +131,7 @@ PLS_FLAGS = ("pretreatment", "n-lv")
 
 
 def _load_config(path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedFile("config file must hold a JSON object")
+    doc = dataio.load_json_object(path, "config file")
     return {str(k).replace("-", "_"): v for k, v in doc.items()}
 
 
@@ -259,15 +250,10 @@ def _cmd_preprocess(args) -> int:
 def _cmd_median_spectrum(args) -> int:
     manifest = _load_task_manifest(args)
     out = _out_dir(args)
-    updated = []
     for record in manifest.samples:
         sample = experiments.prepare_sample(record, routes=())
-        path = out / f"{record.sample_id}_median.csv"
-        spectral.save_spectrum(sample.median, path)
-        updated.append(replace(record, median_spectrum_path=path))
-    new_manifest = dataio.CohortManifest(tuple(updated), manifest.seed, out)
-    dataio.save_manifest(new_manifest, out / synth.MANIFEST_NAME)
-    print(f"wrote {len(updated)} median spectra and {out / synth.MANIFEST_NAME}")
+        spectral.save_spectrum(sample.median, out / f"{record.sample_id}_median.csv")
+    print(f"wrote {len(manifest.samples)} median spectra into {out}")
     return 0
 
 
@@ -281,13 +267,13 @@ def _cmd_build_dict(args) -> int:
     k = args.k if args.k is not None else (cfg.k_dp if modality == "dp" else cfg.k_rci)
 
     records, _ = experiments.task_records(manifest, args.task)
-    sub = dataio.CohortManifest(tuple(records), manifest.seed, manifest.root)
+    sub = dataio.CohortManifest(tuple(records), manifest.seed)
     plan = evaluation.plan_folds(
         sub, k=cfg.folds, reference_fraction=cfg.reference_fraction, seed=args.seed
     )
     reference = set(plan.reference_patients)
     ref_manifest = dataio.CohortManifest(
-        tuple(r for r in records if r.patient_id in reference), manifest.seed, manifest.root
+        tuple(r for r in records if r.patient_id in reference), manifest.seed
     )
     desc = experiments.extract_cohort(ref_manifest, args.task, cfg, routes=(modality,))
     pooled = desc.pool(modality, range(len(desc.y)))
@@ -335,16 +321,6 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _check_leakage(plan: evaluation.FoldPlan) -> None:
-    reference = set(plan.reference_patients)
-    for fold in plan.folds:
-        leaked = reference.intersection(fold)
-        if leaked:
-            raise DataError(
-                f"patients {sorted(leaked)} appear in both the reference set and a fold"
-            )
-
-
 def _cmd_train(args) -> int:
     manifest = _load_task_manifest(args)
     out = _out_path(args, "model file")
@@ -361,7 +337,6 @@ def _cmd_train(args) -> int:
         manifest, args.task, cfg, routes=experiments.ROUTES[modality]
     )
     features = experiments.partition_features(desc, args.seed)
-    _check_leakage(features.plan)
     if modality == "median-spectrum":
         _, model = fit(features.medians, features.y)
         dataio.save_model(model, out)
@@ -383,7 +358,6 @@ def _cmd_train(args) -> int:
 
 def _cv_once(desc, modality, seed, svm_cfg, pre, n_lv):
     features = experiments.partition_features(desc, seed)
-    _check_leakage(features.plan)
     if modality == "median-spectrum":
         return experiments.run_pls_cv(features, pre, n_lv)
     return experiments.run_bovw_cv(features, modality, svm_cfg)
@@ -441,7 +415,6 @@ def _cmd_grid(args) -> int:
 
     desc = experiments.extract_cohort(manifest, args.task, cfg)
     features = experiments.partition_features(desc, args.seed, build_dictionaries=False)
-    _check_leakage(features.plan)
     matrices = experiments.grid_feature_sets(features, args.dp_sizes, args.rci_sizes, args.seed)
     folds = experiments.plan_fold_indices(features)
     result = svm.grid_search(
@@ -501,11 +474,8 @@ def _cmd_pls_select(args) -> int:
 def _read_value_column(path) -> list[float]:
     """Last-column values of a CSV; multi-column rows whose leading cell is
     non-numeric (headers, pooled/aggregate rows) are annotations."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"value file not found: {path}")
     values = []
-    for line in path.read_text().strip().splitlines():
+    for line in dataio.read_text(path, "value file").strip().splitlines():
         cells = [c.strip() for c in line.split(",")]
         try:
             if len(cells) > 1:
@@ -552,22 +522,18 @@ def _cmd_report(args) -> int:
     out = None if args.out is None else _out_path(args, "CSV file")
     rows = []
     for path in args.inputs:
-        path = Path(path)
-        if not path.is_file():
-            raise MissingFile(f"summary file not found: {path}")
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != SUMMARY_HEADER:
-                raise MalformedFile(f"{path} is not a cv summary file: its header is not "
-                                    f"{','.join(SUMMARY_HEADER)}")
-            for row in reader:
-                if not "".join(row).strip():
-                    continue
-                if len(row) != len(header):
-                    raise MalformedFile(f"{path} line {reader.line_num} has {len(row)} cells "
-                                        f"where its header has {len(header)}")
-                rows.append(row)
+        reader = csv.reader(dataio.read_text(path, "summary file").splitlines())
+        header = next(reader, None)
+        if header != SUMMARY_HEADER:
+            raise MalformedFile(f"{path} is not a cv summary file: its header is not "
+                                f"{','.join(SUMMARY_HEADER)}")
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            if len(row) != len(header):
+                raise MalformedFile(f"{path} line {reader.line_num} has {len(row)} cells "
+                                    f"where its header has {len(header)}")
+            rows.append(row)
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
 
     if out is not None:
@@ -601,8 +567,7 @@ def build_parser() -> _Parser:
     add("preprocess", _cmd_preprocess,
         "write prepared grey images and tissue masks for every sample",
         ("manifest", "out", *PIPELINE_FLAGS))
-    add("median-spectrum", _cmd_median_spectrum,
-        "write per-sample median spectra and a manifest referencing them",
+    add("median-spectrum", _cmd_median_spectrum, "write per-sample median spectra",
         ("manifest", "out"))
     add("build-dict", _cmd_build_dict,
         "cluster reference-patient descriptors into a visual dictionary",

@@ -2,8 +2,8 @@
 
 Formats (all locale-independent, '.' decimal separator):
 
-* manifest: JSON document listing patients/samples, paths relative to the
-  manifest file.
+* manifest: UTF-8 JSON document listing patients/samples, paths relative
+  to the manifest file.
 * hyperspectral cube: text header ``ramancube <text|binary> 1`` +
   ``width height n_bands`` + wavenumber axis line, followed by row-major
   per-pixel CSV spectra (text) or little-endian float64 (binary).
@@ -17,7 +17,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -61,14 +61,12 @@ class SampleRecord:
     label: Label
     dp_path: Path
     rci_path: Path
-    median_spectrum_path: Path | None = None
 
 
 @dataclass(frozen=True)
 class CohortManifest:
     samples: tuple[SampleRecord, ...]
     seed: int
-    root: Path = field(default_factory=Path)
 
     def patients(self) -> list[str]:
         """Unique patient ids in first-appearance order."""
@@ -154,25 +152,50 @@ class HyperspectralCube:
         return self.data.shape[2]
 
 
-# --- manifest ---------------------------------------------------------------
+# --- text and JSON files -----------------------------------------------------
 
-_LABEL_STRINGS = {v.value for v in Label}
+
+def read_text(path, what: str) -> str:
+    """The text of a UTF-8 file; what names the file in messages.
+
+    Raises MissingFile for a missing file and MalformedFile for bytes that
+    are not UTF-8."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{what} {path} is not UTF-8 text: {exc}") from None
+
+
+def load_json_object(path, what: str) -> dict:
+    """The JSON object a UTF-8 file holds, read as read_text does.
+
+    Raises MalformedFile for text that is not JSON or nests too deeply to
+    parse, and for a document that is not an object."""
+    try:
+        doc = json.loads(read_text(path, what))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedFile(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedFile(f"{what} {path} must hold a JSON object")
+    return doc
+
+
+# --- manifest ---------------------------------------------------------------
 
 
 def load_manifest(path) -> CohortManifest:
     """Load and validate a cohort manifest.
 
-    Raises MissingFile / MalformedManifest / DuplicateSample on the
-    corresponding defects. Every referenced file must exist.
+    Raises MissingFile / MalformedFile (MalformedManifest for a document
+    that is not a manifest) / DuplicateSample on the corresponding defects.
+    Every referenced file must exist.
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"manifest not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedManifest(f"manifest is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "samples" not in doc:
+    doc = load_json_object(path, "manifest")
+    if "samples" not in doc:
         raise MalformedManifest("manifest must be an object with a 'samples' list")
     entries = doc["samples"]
     if not isinstance(entries, list) or not entries:
@@ -198,31 +221,27 @@ def load_manifest(path) -> CohortManifest:
             raise DuplicateSample(f"duplicate sample {key}")
         seen_pairs.add(key)
         seen_ids.add(sample_id)
-        med = entry.get("median_spectrum_path")
-        med_path = root / med if med else None
-        for p in (dp_path, rci_path, med_path):
-            if p is not None and not p.is_file():
+        for p in (dp_path, rci_path):
+            if not p.is_file():
                 raise MissingFile(f"referenced file not found: {p}")
-        samples.append(SampleRecord(patient_id, sample_id, label, dp_path, rci_path, med_path))
-    return CohortManifest(tuple(samples), seed, root)
+        samples.append(SampleRecord(patient_id, sample_id, label, dp_path, rci_path))
+    return CohortManifest(tuple(samples), seed)
 
 
 def save_manifest(manifest: CohortManifest, path) -> None:
     """Write a manifest document; paths are stored relative to it."""
     path = Path(path)
     root = path.parent
-    entries = []
-    for s in manifest.samples:
-        entry = {
+    entries = [
+        {
             "patient_id": s.patient_id,
             "sample_id": s.sample_id,
             "label": s.label.value,
             "dp_path": os.path.relpath(s.dp_path, root),
             "rci_path": os.path.relpath(s.rci_path, root),
         }
-        if s.median_spectrum_path is not None:
-            entry["median_spectrum_path"] = os.path.relpath(s.median_spectrum_path, root)
-        entries.append(entry)
+        for s in manifest.samples
+    ]
     doc = {"seed": manifest.seed, "samples": entries}
     path.write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -418,21 +437,17 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"model not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"corrupted model payload: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+    doc = load_json_object(path, "model")
+    if doc.get("format") != MODEL_FORMAT:
         raise MalformedFile("not a model file")
     if doc.get("version") != MODEL_VERSION:
         raise UnsupportedVersion(f"model version {doc.get('version')!r} unsupported")
     kind = doc.get("kind")
-    if kind not in _MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise MalformedFile(f"unknown model kind {kind!r}")
+    # A payload field that is missing or of the wrong type, shape or size
+    # (e.g. an infinite integer) fails in from_payload.
     try:
         return _model_class(kind).from_payload(doc["payload"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise MalformedFile(f"corrupted model payload: {exc}") from None

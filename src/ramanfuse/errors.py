@@ -20,11 +20,11 @@ class NumericalError(RamanFuseError):
 
 # --- dataio ---------------------------------------------------------------
 
-class MalformedManifest(DataError):
+class MalformedFile(DataError):
     pass
 
 
-class MalformedFile(DataError):
+class MalformedManifest(MalformedFile):
     pass
 
 

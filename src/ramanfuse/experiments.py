@@ -204,7 +204,7 @@ def extract_cohort(
                               f"than sample {records[0].sample_id}")
         medians.append(sample.median)
     return CohortDescriptors(
-        manifest=CohortManifest(tuple(records), manifest.seed, manifest.root),
+        manifest=CohortManifest(tuple(records), manifest.seed),
         y=y,
         routes={route: tuple(descriptors) for route, descriptors in table.items()},
         medians=np.array([median.intensities for median in medians]),

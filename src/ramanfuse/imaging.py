@@ -18,7 +18,6 @@ from .errors import (
 )
 
 GREY_COEFFS = (0.299, 0.587, 0.114)
-RESIZE_DEFAULT = 500
 MIN_REGION_PIXELS = 10
 BACKGROUND_CANDIDATES = 3  # leading PCs tried for the background split
 
@@ -233,7 +232,7 @@ def _resize_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def resize_cubic(img: GreyImage, out_w: int = RESIZE_DEFAULT, out_h: int = RESIZE_DEFAULT) -> GreyImage:
+def resize_cubic(img: GreyImage, out_w: int, out_h: int) -> GreyImage:
     """Separable bicubic resize with pixel-centre alignment and clamp-to-edge
     sampling. Same-size calls return the image unchanged."""
     if img.height < 2 or img.width < 2:

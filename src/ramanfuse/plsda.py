@@ -29,7 +29,7 @@ DEFAULT_LV_RANGE = tuple(range(1, 16))
 _WEIGHT_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlsModel:
     n_lv: int
     x_mean: np.ndarray   # (p,)

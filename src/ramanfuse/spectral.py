@@ -19,7 +19,6 @@ from .errors import (
     DegenerateFit,
     EmptyMask,
     MalformedFile,
-    MissingFile,
     SpectrumTooShort,
     ZeroVariance,
 )
@@ -309,19 +308,3 @@ def save_spectrum(spectrum: Spectrum, path) -> None:
     ]
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def load_spectrum(path) -> Spectrum:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"spectrum not found: {path}")
-    rows = path.read_text().strip().splitlines()
-    if not rows or rows[0].strip() != "wavenumber,intensity":
-        raise MalformedFile(f"unrecognized spectrum header in {path}")
-    try:
-        pairs = [tuple(float(v) for v in row.split(",")) for row in rows[1:]]
-    except ValueError as exc:
-        raise MalformedFile(f"bad spectrum row in {path}: {exc}") from None
-    if not pairs:
-        raise MalformedFile(f"spectrum {path} has no data rows")
-    data = np.array(pairs)
-    return Spectrum(data[:, 0], data[:, 1])

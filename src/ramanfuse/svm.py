@@ -59,7 +59,7 @@ def _kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float) -> n
     return _check_finite(ab if kernel == "linear" else _rbf(_sq_distances(a, b, ab), gamma))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvmModel:
     support_vectors: np.ndarray  # (m, d)
     dual_coef: np.ndarray        # (m,) alpha_i * y_i
@@ -73,9 +73,9 @@ class SvmModel:
     # final KKT gap (above the fit's tol when max_iter ran out) and the full
     # dual solution, one alpha per training row (a start for the next fit).
     # Not saved.
-    n_iter: int | None = field(default=None, compare=False)
-    kkt_gap: float | None = field(default=None, compare=False)
-    alpha: np.ndarray | None = field(default=None, compare=False, repr=False)
+    n_iter: int | None = None
+    kkt_gap: float | None = None
+    alpha: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         sv, coef = np.asarray(self.support_vectors), np.asarray(self.dual_coef)

@@ -219,7 +219,7 @@ def generate(spec: SynthSpec, out_dir) -> CohortManifest:
             }
             cursor += 1
 
-    manifest = CohortManifest(samples=tuple(records), seed=spec.seed, root=out_dir)
+    manifest = CohortManifest(samples=tuple(records), seed=spec.seed)
     dataio.save_manifest(manifest, out_dir / MANIFEST_NAME)
     with open(out_dir / SIDECAR_NAME, "w") as fh:
         json.dump(truth, fh, indent=1, sort_keys=True)

@@ -229,6 +229,38 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "seed" in err[0]
 
+    @pytest.mark.parametrize("text", [b'{"a": "\xff"}\n', b"[" * 100_000 + b"]" * 100_000],
+                             ids=["bad-byte", "deep-nesting"])
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--manifest", "{bad}", "--out", "{out}"],
+        ["synth", "--config", "{bad}", "--out", "{out}"],
+        ["encode", "--manifest", "{manifest}", "--modality", "dp", "--dp-dict", "{bad}",
+         "--out", "{out}/f.csv"],
+    ], ids=["manifest", "config", "dp-dict"])
+    def test_unreadable_json_input_is_a_one_line_data_error(
+        self, manifest, tmp_path, capsys, no_cubes, argv, text
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        paths = dict(bad=bad, out=tmp_path / "out", manifest=manifest)
+        assert cli.main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "data error" in err[0] and "bad.json" in err[0]
+
+    @pytest.mark.parametrize("command", ["ttest", "report"])
+    def test_value_or_summary_file_that_is_not_utf8_is_a_one_line_data_error(
+        self, tmp_path, capsys, command
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(",".join(cli.SUMMARY_HEADER).encode() + b"\n1,\xff\n")
+        good = tmp_path / "good.csv"
+        good.write_text("1\n2\n3\n")
+        argv = (["ttest", "--a", str(bad), "--b", str(good)] if command == "ttest"
+                else ["report", "--inputs", str(bad)])
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "data error" in err[0] and "bad.csv" in err[0]
+
     def test_numerical_failure_maps_to_exit_3(self, monkeypatch, tmp_path):
         def boom(args):
             raise NumericalError("probe")
@@ -252,7 +284,7 @@ class TestPerSampleCommands:
         self, cohort_dir, manifest, tmp_path
     ):
         loaded = dataio.load_manifest(manifest)
-        small = dataio.CohortManifest(loaded.samples[:3], loaded.seed, loaded.root)
+        small = dataio.CohortManifest(loaded.samples[:3], loaded.seed)
         small_path = tmp_path / "small.txt"
         dataio.save_manifest(small, small_path)
         out = tmp_path / "prep"
@@ -270,12 +302,14 @@ class TestPerSampleCommands:
         assert cli.main([
             "median-spectrum", "--manifest", manifest, "--out", str(out),
         ]) == 0
-        rewritten = dataio.load_manifest(out / "manifest.txt")
-        assert len(rewritten.samples) == 70
-        record = rewritten.samples[0]
-        assert record.median_spectrum_path is not None
-        spectrum = spectral.load_spectrum(record.median_spectrum_path)
-        assert len(spectrum.intensities) == 32
+        samples = dataio.load_manifest(manifest).samples
+        assert len(samples) == 70
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{record.sample_id}_median.csv" for record in samples
+        )
+        expected = tmp_path / "expected.csv"
+        spectral.save_spectrum(experiments.prepare_sample(samples[0], routes=()).median, expected)
+        assert (out / f"{samples[0].sample_id}_median.csv").read_bytes() == expected.read_bytes()
 
 
 class TestDictionaryCommands:

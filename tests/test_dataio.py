@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ramanfuse import dataio
+from ramanfuse import bovw, dataio, plsda, spectral, svm
 from ramanfuse.dataio import GreyImage, HyperspectralCube, Label, RgbImage
 from ramanfuse.errors import (
+    DataError,
     DuplicateSample,
     MalformedFile,
     MalformedManifest,
@@ -18,6 +21,35 @@ from ramanfuse.errors import (
 def write_stub_files(root, names):
     for name in names:
         (root / name).write_bytes(b"P5\n1 1\n255\n\x00")
+
+
+@st.composite
+def corrupted(draw, data: bytes) -> bytes:
+    """data with up to four bytes replaced by any byte, then maybe cut short."""
+    raw = bytearray(data)
+    for _ in range(draw(st.integers(0, 4))):
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        raw = raw[: draw(st.integers(0, len(raw)))]
+    return bytes(raw)
+
+
+# Each example overwrites one file under the test's tmp_path.
+corruption_settings = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def small_models() -> dict:
+    """One small fitted model of each persisted kind."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(8, 3))
+    y = np.array([-1.0, 1.0] * 4)
+    return {
+        "svm": svm.calibrate(svm.train(X, y), X, y),
+        "dictionary": bovw.kmeans(rng.normal(size=(12, 4)), 2, 0, modality="rci"),
+        "pls": plsda.fit_pls(X, (y > 0).astype(float), 2, spectral.parse_pretreatment("snv")),
+    }
 
 
 def manifest_doc(entries, seed=7):
@@ -95,6 +127,39 @@ class TestManifest:
         path.write_text(json.dumps(manifest_doc([])))
         with pytest.raises(MalformedManifest):
             dataio.load_manifest(path)
+
+    def test_keys_the_loader_does_not_read_are_ignored(self, tmp_path):
+        write_stub_files(tmp_path, ["s1_dp.pgm", "s1_rci.pgm"])
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(
+            {**manifest_doc([{**entry("p1", "s1"), "spectrum": "gone.csv"}]), "note": 1}
+        ))
+        assert [r.sample_id for r in dataio.load_manifest(path).samples] == ["s1"]
+
+    @pytest.mark.parametrize("text, error", [
+        (b'{"samples": "\xff"}', MalformedFile),
+        (b"[" * 100_000 + b"]" * 100_000, MalformedFile),
+        (b"[1, 2]", MalformedFile),
+        (b'{"seed": 1}', MalformedManifest),
+    ], ids=["bad-byte", "deep-nesting", "list", "no-samples"])
+    def test_unreadable_document_rejected(self, tmp_path, text, error):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(text)
+        with pytest.raises(error):
+            dataio.load_manifest(path)
+
+    @corruption_settings
+    @given(data=st.data())
+    def test_corrupted_manifest_loads_or_raises_a_data_error(self, tmp_path, data):
+        entries = [entry("p1", "s1"), entry("p2", "s2", "g4")]
+        write_stub_files(tmp_path, ["s1_dp.pgm", "s1_rci.pgm", "s2_dp.pgm", "s2_rci.pgm"])
+        valid = json.dumps(manifest_doc(entries)).encode()
+        path = tmp_path / "manifest.json"
+        path.write_bytes(data.draw(corrupted(valid)))
+        try:
+            dataio.load_manifest(path)
+        except DataError:
+            pass
 
     def test_load_does_not_mutate_file(self, tmp_path):
         entries = [entry("p1", "s1")]
@@ -257,3 +322,45 @@ class TestModelEnvelope:
         path.write_text("{not json")
         with pytest.raises(MalformedFile):
             dataio.load_model(path)
+
+    @pytest.mark.parametrize("kind", ["forest", ["svm"]], ids=["unknown", "list"])
+    def test_unknown_kind_rejected(self, tmp_path, kind):
+        path = tmp_path / "m.model"
+        path.write_text(json.dumps(
+            {"format": dataio.MODEL_FORMAT, "version": dataio.MODEL_VERSION, "kind": kind}
+        ))
+        with pytest.raises(MalformedFile, match="kind"):
+            dataio.load_model(path)
+
+    @pytest.mark.parametrize("kind", ["svm", "dictionary", "pls"])
+    def test_models_compare_by_identity(self, kind):
+        model, again = small_models()[kind], small_models()[kind]
+        assert (model == model) is True
+        assert (model == again) is False
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("dictionary", "train_seed", 1e400),
+        ("pls", "n_lv", 1e400),
+        ("pls", "pretreatment", 5),
+        ("svm", "platt_a", "x"),
+    ], ids=["infinite-seed", "infinite-lv-count", "numeric-pretreatment", "text-platt"])
+    def test_payload_field_of_the_wrong_type_rejected(self, tmp_path, kind, field, value):
+        path = tmp_path / "m.model"
+        dataio.save_model(small_models()[kind], path)
+        doc = json.loads(path.read_text())
+        doc["payload"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFile):
+            dataio.load_model(path)
+
+    @pytest.mark.parametrize("kind", ["svm", "dictionary", "pls"])
+    @corruption_settings
+    @given(data=st.data())
+    def test_corrupted_model_loads_or_raises_a_data_error(self, tmp_path, kind, data):
+        path = tmp_path / "m.model"
+        dataio.save_model(small_models()[kind], path)
+        path.write_bytes(data.draw(corrupted(path.read_bytes())))
+        try:
+            dataio.load_model(path)
+        except DataError:
+            pass

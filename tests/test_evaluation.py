@@ -35,12 +35,17 @@ class TestFoldPlan:
         assert sorted(len(f) for f in plan.folds) == [1, 1, 1, 1, 1]
         assert plan.reference_patients == ()
 
-    def test_partition_invariants(self):
+    @pytest.mark.parametrize("reference_fraction", [0.0, 0.3, 0.6])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_partition_invariants(self, k, reference_fraction):
+        """Reference patients and fold patients never overlap, and together
+        they are every patient once (no command checks this at run time)."""
         rng = np.random.default_rng(0)
         for seed in range(10):
-            counts = {f"p{i}": int(rng.integers(1, 9)) for i in range(20)}
+            counts = {f"p{i}": int(rng.integers(1, 9)) for i in range(30)}
             manifest = make_manifest(counts)
-            plan = ev.plan_folds(manifest, k=5, reference_fraction=0.3, seed=seed)
+            plan = ev.plan_folds(manifest, k=k, reference_fraction=reference_fraction, seed=seed)
+            assert len(plan.folds) == k and all(plan.folds)
             seen = list(plan.reference_patients) + [p for fold in plan.folds for p in fold]
             assert len(seen) == len(set(seen))
             assert set(seen) == set(counts)
