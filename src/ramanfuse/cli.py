@@ -8,9 +8,9 @@ command-line flags taking precedence.
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -203,13 +203,6 @@ def _out_dir(args) -> Path:
     return _make_dir(Path(_out_path(args, "location")))
 
 
-def _write_csv(path, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # --- subcommands -------------------------------------------------------------------
 
 
@@ -316,7 +309,7 @@ def _cmd_encode(args) -> int:
     ]
     width = X.shape[1] if rows else None
     header = ["sample_id", "patient_id", "label", "y"] + [f"f{i}" for i in range(width or 0)]
-    _write_csv(out, header, rows)
+    dataio.write_table(out, header, rows)
     print(f"encoded {len(rows)} samples x {width} features -> {out}")
     return 0
 
@@ -394,7 +387,7 @@ def _cmd_cv(args) -> int:
         "%.6f" % np.mean(spec_),
         "%.6f" % np.mean(aucs),
     ]
-    _write_csv(out / "summary.csv", SUMMARY_HEADER, [row])
+    dataio.write_table(out / "summary.csv", SUMMARY_HEADER, [row])
     print(
         f"{task} {modality} over {n_sets} reference set(s): "
         f"sensitivity {row[3]}, specificity {row[4]}, AUC {row[5]}"
@@ -425,7 +418,7 @@ def _cmd_grid(args) -> int:
     best = result.best
     k_dp, k_rci = best.feature_key
     best_path = Path(out).with_name(Path(out).stem + "_best.csv")
-    _write_csv(
+    dataio.write_table(
         best_path,
         ["dict_size_dp", "dict_size_rci", "kernel", "C", "gamma", "mean_accuracy"],
         [[k_dp, k_rci, best.config.kernel, repr(best.config.C),
@@ -475,14 +468,16 @@ def _read_value_column(path) -> list[float]:
     """Last-column values of a CSV; multi-column rows whose leading cell is
     non-numeric (headers, pooled/aggregate rows) are annotations."""
     values = []
-    for line in dataio.read_text(path, "value file").strip().splitlines():
-        cells = [c.strip() for c in line.split(",")]
+    for line, row in dataio.read_table(path, "value file"):
         try:
-            if len(cells) > 1:
-                float(cells[0])
-            values.append(float(cells[-1]))
+            if len(row) > 1:
+                float(row[0])
+            value = float(row[-1])
         except ValueError:
             continue
+        if not math.isfinite(value):
+            raise MalformedFile(f"{path} line {line} holds the non-finite value {row[-1]!r}")
+        values.append(value)
     if not values:
         raise MalformedFile(f"no numeric values found in {path}")
     return values
@@ -498,16 +493,9 @@ def _cmd_ttest(args) -> int:
         raise DimMismatch(f"a paired t-test needs two or more pairs, but --a holds {len(a)} "
                           f"values and --b holds {len(b)}")
     result = evaluation.paired_ttest(a, b)
-    header = [
-        "mean_diff", "std_diff", "n", "t", "df", "p", "ci_low", "ci_high", "t_crit",
-    ]
-    row = [
-        repr(result.mean_diff), repr(result.std_diff), result.n, repr(result.t),
-        result.df, repr(result.p), repr(result.ci_low), repr(result.ci_high),
-        repr(result.t_crit),
-    ]
     if out is not None:
-        _write_csv(out, header, [row])
+        dataio.write_table(out, [f.name for f in fields(result)],
+                           [[repr(v) for v in astuple(result)]])
         print(f"t-test table -> {out}")
     print(
         f"mean diff {result.mean_diff:.6g} (n={result.n}), t={result.t:.4f}, "
@@ -522,22 +510,19 @@ def _cmd_report(args) -> int:
     out = None if args.out is None else _out_path(args, "CSV file")
     rows = []
     for path in args.inputs:
-        reader = csv.reader(dataio.read_text(path, "summary file").splitlines())
-        header = next(reader, None)
-        if header != SUMMARY_HEADER:
+        table = dataio.read_table(path, "summary file")
+        if not table or table[0] != (1, SUMMARY_HEADER):
             raise MalformedFile(f"{path} is not a cv summary file: its header is not "
                                 f"{','.join(SUMMARY_HEADER)}")
-        for row in reader:
-            if not "".join(row).strip():
-                continue
-            if len(row) != len(header):
-                raise MalformedFile(f"{path} line {reader.line_num} has {len(row)} cells "
-                                    f"where its header has {len(header)}")
+        for line, row in table[1:]:
+            if len(row) != len(SUMMARY_HEADER):
+                raise MalformedFile(f"{path} line {line} has {len(row)} cells "
+                                    f"where its header has {len(SUMMARY_HEADER)}")
             rows.append(row)
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
 
     if out is not None:
-        _write_csv(out, SUMMARY_HEADER, rows)
+        dataio.write_table(out, SUMMARY_HEADER, rows)
         print(f"combined table -> {out}")
     widths = [max(len(h), 14) for h in SUMMARY_HEADER]
     print("  ".join(h.ljust(w) for h, w in zip(SUMMARY_HEADER, widths)))

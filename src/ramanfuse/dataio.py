@@ -10,11 +10,15 @@ Formats (all locale-independent, '.' decimal separator):
 * images: binary PGM (P5) for greyscale, PPM (P6) for colour, 8-bit.
 * models: versioned JSON envelope; floats serialized with Python's
   shortest round-trip repr, so reload is bit-exact.
+* report tables: CSV with a header row, CRLF line ends, minimal quoting;
+  ``write_table`` and ``read_table`` are the package's only CSV code.
 """
 
 from __future__ import annotations
 
+import csv
 import importlib
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -181,6 +185,25 @@ def load_json_object(path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise MalformedFile(f"{what} {path} must hold a JSON object")
     return doc
+
+
+def write_table(path, header: list, rows) -> None:
+    """Write a report table: the header row, then rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path, what: str) -> list[tuple[int, list[str]]]:
+    """(line the row ends on, cells) of each non-blank row of a CSV file
+    read as read_text does; MalformedFile for text that csv rejects (a cell
+    over its field limit)."""
+    reader = csv.reader(io.StringIO(read_text(path, what), newline=""))
+    try:
+        return [(reader.line_num, row) for row in reader if "".join(row).strip()]
+    except csv.Error as exc:
+        raise MalformedFile(f"{what} {path} line {reader.line_num} is not CSV: {exc}") from None
 
 
 # --- manifest ---------------------------------------------------------------

@@ -2,13 +2,13 @@
 and paired t-tests with a self-contained Student-t distribution."""
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingleClass, TooFewPatients, ZeroVariance
+from .dataio import write_table
+from .errors import NumericalError, SingleClass, TooFewPatients, ZeroVariance
 from .seeds import rng_for
 
 
@@ -350,11 +350,14 @@ def paired_ttest(a, b) -> TTestResult:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
         raise ValueError("inputs must be equal-length vectors of length >= 2")
-    diff = a - b
-    sd = float(diff.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a - b
+        mean, sd = float(diff.mean()), float(diff.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise NumericalError("paired differences have no finite mean and spread in float64")
     if sd <= 0:
         raise ZeroVariance("paired differences are constant")
-    return ttest_from_summary(float(diff.mean()), sd, len(diff))
+    return ttest_from_summary(mean, sd, len(diff))
 
 
 # --- report output ---------------------------------------------------------------
@@ -362,38 +365,21 @@ def paired_ttest(a, b) -> TTestResult:
 
 def write_metrics_csv(report: EvalReport, path) -> None:
     summary = report.summary()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["fold", "tp", "fp", "tn", "fn", "accuracy", "sensitivity", "specificity", "auc"]
-        )
-        for i, (c, auc) in enumerate(zip(report.fold_confusions, report.fold_aucs), 1):
-            writer.writerow(
-                [i, c.tp, c.fp, c.tn, c.fn,
-                 f"{c.accuracy:.6f}", f"{c.sensitivity:.6f}",
-                 f"{c.specificity:.6f}", f"{auc:.6f}"]
-            )
-        pooled = report.pooled_confusion
-        writer.writerow(
-            ["pooled", pooled.tp, pooled.fp, pooled.tn, pooled.fn,
-             f"{pooled.accuracy:.6f}", f"{pooled.sensitivity:.6f}",
-             f"{pooled.specificity:.6f}", f"{report.pooled_auc:.6f}"]
-        )
-        writer.writerow(
-            ["mean±std", "", "", "", "",
-             f"{summary['mean_accuracy']:.6f}±{summary['std_accuracy']:.6f}",
-             f"{summary['mean_sensitivity']:.6f}±{summary['std_sensitivity']:.6f}",
-             f"{summary['mean_specificity']:.6f}±{summary['std_specificity']:.6f}",
-             f"{summary['mean_auc']:.6f}±{summary['std_auc']:.6f}"]
-        )
+    metrics = ("accuracy", "sensitivity", "specificity", "auc")
+    folds = zip(range(1, len(report.fold_aucs) + 1), report.fold_confusions, report.fold_aucs)
+    labelled = [*folds, ("pooled", report.pooled_confusion, report.pooled_auc)]
+    rows = [
+        [label, c.tp, c.fp, c.tn, c.fn]
+        + [f"{v:.6f}" for v in (c.accuracy, c.sensitivity, c.specificity, auc)]
+        for label, c, auc in labelled
+    ]
+    rows.append(["mean±std", "", "", "", ""]
+                + [f"{summary['mean_' + m]:.6f}±{summary['std_' + m]:.6f}" for m in metrics])
+    write_table(path, ["fold", "tp", "fp", "tn", "fn", *metrics], rows)
 
 
 def write_roc_csv(points, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for fpr, tpr in points:
-            writer.writerow([f"{fpr:.6f}", f"{tpr:.6f}"])
+    write_table(path, ["fpr", "tpr"], [[f"{fpr:.6f}", f"{tpr:.6f}"] for fpr, tpr in points])
 
 
 def write_roc_svg(points, auc: float, path, size: int = 400) -> None:

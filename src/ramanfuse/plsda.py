@@ -3,12 +3,12 @@ fitting, 0/1-coded class scoring, and repeated-split model selection over a
 pretreatment menu."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
+from .dataio import write_table
 from .errors import (
     DimMismatch,
     InsufficientClassCoverage,
@@ -284,11 +284,9 @@ def select_pls_model(
 
 def write_selection_report(result: SelectionResult, path) -> None:
     """CSV: one row per (pretreatment, LV count) cell with its mean scores."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["pretreatment", "n_lv", "mean_product", "mean_accuracy",
-             "mean_sensitivity", "mean_specificity"]
-        )
-        for row in result.rows:
-            writer.writerow([row[0], row[1]] + [f"{v:.6f}" for v in row[2:]])
+    write_table(
+        path,
+        ["pretreatment", "n_lv", "mean_product", "mean_accuracy",
+         "mean_sensitivity", "mean_specificity"],
+        [[row[0], row[1]] + [f"{v:.6f}" for v in row[2:]] for row in result.rows],
+    )

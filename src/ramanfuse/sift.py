@@ -46,23 +46,22 @@ DESCRIPTOR_CLAMP = 0.2
 DESCRIPTOR_GRID = 4
 DESCRIPTOR_BINS = 8
 CHUNK_PIXELS = 2**14  # window pixels per batch, bounds temporary memory
+SCALES_PER_OCTAVE = 3
+BASE_SIGMA = 1.6
+EDGE_RATIO_THRESHOLD = 10.0
+ASSUMED_BLUR = 0.5  # blur already present in the input image
+# per-level sigma within an octave: s+3 levels, geometrically spaced
+LEVEL_SIGMAS = BASE_SIGMA * 2.0 ** (np.arange(SCALES_PER_OCTAVE + 3) / SCALES_PER_OCTAVE)
 
 
 @dataclass(frozen=True)
 class SiftParams:
-    scales_per_octave: int = 3
-    base_sigma: float = 1.6
     contrast_threshold: float = 0.04
-    edge_ratio_threshold: float = 10.0
-    n_octaves: int | None = None      # None: derived from image size
     upsample_first: bool = False      # start one octave below the input
-    assumed_blur: float = 0.5
 
     def __post_init__(self):
-        if self.scales_per_octave < 1:
-            raise ValueError("scales_per_octave must be >= 1")
-        if min(self.base_sigma, self.contrast_threshold, self.edge_ratio_threshold) <= 0:
-            raise ValueError("sigma and thresholds must be positive")
+        if self.contrast_threshold <= 0:
+            raise ValueError("contrast_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,6 @@ def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return sliding_window_view(pad, 2 * radius + 1, axis=0) @ kernel
 
 
-def _level_sigmas(params: SiftParams) -> np.ndarray:
-    s = params.scales_per_octave
-    return params.base_sigma * 2.0 ** (np.arange(s + 3) / s)
-
-
 def build_scale_space(img: GreyImage, params: SiftParams = SiftParams()) -> ScaleSpace:
     """Gaussian and DoG pyramids. Per octave there are s+3 Gaussian levels
     with geometrically spaced sigmas; each next octave halves the resolution
@@ -120,21 +114,16 @@ def build_scale_space(img: GreyImage, params: SiftParams = SiftParams()) -> Scal
         raise ImageTooSmall(f"need at least 16x16, got {img.width}x{img.height}")
     base = img.pixels.astype(np.float64) / 255.0
     delta = 1.0
-    blur = params.assumed_blur
+    blur = ASSUMED_BLUR
     if params.upsample_first:
         base = np.repeat(np.repeat(base, 2, axis=0), 2, axis=1)
         delta = 0.5
         blur *= 2.0
-    seed_sigma = math.sqrt(max(params.base_sigma**2 - blur**2, 0.01))
+    seed_sigma = math.sqrt(max(BASE_SIGMA**2 - blur**2, 0.01))
     base = _gaussian_blur(base, seed_sigma)
 
-    n_octaves = params.n_octaves
-    if n_octaves is None:
-        n_octaves = max(1, int(math.floor(math.log2(min(base.shape)))) - 2)
-
-    sigmas = _level_sigmas(params)
-    increments = np.sqrt(np.diff(sigmas**2))
-    s = params.scales_per_octave
+    n_octaves = max(1, int(math.floor(math.log2(min(base.shape)))) - 2)
+    increments = np.sqrt(np.diff(LEVEL_SIGMAS**2))
 
     gaussians, dogs, deltas = [], [], []
     current = base
@@ -146,11 +135,11 @@ def build_scale_space(img: GreyImage, params: SiftParams = SiftParams()) -> Scal
         gaussians.append(stack)
         dogs.append(stack[1:] - stack[:-1])
         deltas.append(delta)
-        current = levels[s][::2, ::2]
+        current = levels[SCALES_PER_OCTAVE][::2, ::2]
         delta *= 2.0
         if min(current.shape) < 4:
             break
-    return ScaleSpace(gaussians, dogs, deltas, params, sigmas)
+    return ScaleSpace(gaussians, dogs, deltas, params, LEVEL_SIGMAS)
 
 
 _NEIGHBOURS = [
@@ -238,7 +227,7 @@ def _solve(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return out
 
 
-def _refine(dog: np.ndarray, points: np.ndarray, params: SiftParams):
+def _refine(dog: np.ndarray, points: np.ndarray, contrast_threshold: float):
     """Quadratic (3-D Taylor) refinement of integer extrema, all at once.
 
     Each point moves to the nearest integer location of its fitted offset
@@ -278,26 +267,26 @@ def _refine(dog: np.ndarray, points: np.ndarray, params: SiftParams):
     hrr, hcc, hrc = hessian[:, 1, 1], hessian[:, 2, 2], hessian[:, 1, 2]
     tr = hrr + hcc
     det = hrr * hcc - hrc**2
-    r = params.edge_ratio_threshold
+    r = EDGE_RATIO_THRESHOLD
     keep = (
-        (np.abs(value) >= params.contrast_threshold)
+        (np.abs(value) >= contrast_threshold)
         & (det > 0)
         & (tr**2 * r < det * (r + 1) ** 2)
     )
     return pos[keep] + offset[keep], np.abs(value[keep])
 
 
-def detect_keypoints(space: ScaleSpace, params: SiftParams | None = None) -> list[Keypoint]:
+def detect_keypoints(space: ScaleSpace) -> list[Keypoint]:
     """Unoriented keypoints (orientation 0) from the DoG pyramids."""
-    params = params or space.params
-    s = params.scales_per_octave
-    floor = 0.5 * params.contrast_threshold / s
+    threshold = space.params.contrast_threshold
+    s = SCALES_PER_OCTAVE
+    floor = 0.5 * threshold / s
     found = []
     for octave, dog in enumerate(space.dogs):
         delta = space.deltas[octave]
-        refined, values = _refine(dog, _local_extrema(dog, floor), params)
+        refined, values = _refine(dog, _local_extrema(dog, floor), threshold)
         for (layer_f, row_f, col_f), value in zip(refined, values):
-            octave_scale = params.base_sigma * 2.0 ** (layer_f / s)
+            octave_scale = BASE_SIGMA * 2.0 ** (layer_f / s)
             found.append(
                 Keypoint(
                     x=col_f * delta,
@@ -555,7 +544,7 @@ def extract(img: GreyImage, params: SiftParams = SiftParams()) -> list[tuple[Key
     Output order is deterministic: sorted by (octave, y, x, scale,
     orientation)."""
     space = build_scale_space(img, params)
-    kps = [kp for kp in detect_keypoints(space, params) if _descriptor_window_inside(kp, space)]
+    kps = [kp for kp in detect_keypoints(space) if _descriptor_window_inside(kp, space)]
     by_level: dict[tuple[int, int], list[int]] = {}
     for i, kp in enumerate(kps):
         by_level.setdefault(_level_key(kp, space), []).append(i)

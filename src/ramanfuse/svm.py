@@ -3,12 +3,12 @@ Platt probability calibration, exhaustive parameter grid search.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .dataio import write_table
 from .errors import CalibrationFailed, DegenerateKernel, DimMismatch, SingleClass
 from .parallel import parallel_map
 
@@ -491,17 +491,15 @@ def grid_search(
 def write_grid_report(result: GridResult, path) -> None:
     """CSV: one row per configuration in enumeration order."""
     n_folds = len(result.rows[0][4]) if result.rows else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["feature_key", "kernel", "C", "gamma"]
-            + [f"fold_{i + 1}_accuracy" for i in range(n_folds)]
-            + ["mean_accuracy"]
-        )
-        for key, kernel, c, gamma, accs, mean in result.rows:
-            writer.writerow(
-                ["+".join(str(k) for k in key), kernel, repr(c),
-                 "" if gamma is None else repr(gamma)]
-                + [f"{a:.6f}" for a in accs]
-                + [f"{mean:.6f}"]
-            )
+    write_table(
+        path,
+        ["feature_key", "kernel", "C", "gamma"]
+        + [f"fold_{i + 1}_accuracy" for i in range(n_folds)]
+        + ["mean_accuracy"],
+        [
+            ["+".join(str(k) for k in key), kernel, repr(c), "" if gamma is None else repr(gamma)]
+            + [f"{a:.6f}" for a in accs]
+            + [f"{mean:.6f}"]
+            for key, kernel, c, gamma, accs, mean in result.rows
+        ],
+    )

@@ -4,12 +4,16 @@ seeded runs."""
 import argparse
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ramanfuse import bovw, cli, dataio, evaluation, experiments, spectral, svm, synth
 from ramanfuse.errors import NumericalError
+from test_dataio import corrupted, corruption_settings
 
 COHORT_FLAGS = [
     "--n-patients", "12", "--n-samples", "70", "--image-size", "96",
@@ -836,6 +840,37 @@ class TestTTest:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"--a holds {n_a} values and --b holds {n_b}" in err[0]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_a_non_finite_value_is_a_data_error(self, tmp_path, capsys, side, value):
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text(f"1\n{value}\n3\n")
+        good.write_text("1\n2\n4\n")
+        files = {"a": good, "b": good, side: bad}
+        assert cli.main(["ttest", "--a", str(files["a"]), "--b", str(files["b"])]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert str(bad) in err[0] and "line 2" in err[0] and repr(value) in err[0]
+
+    def test_overflowing_differences_are_a_numerical_failure(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("1e308\n1e308\n5\n")
+        b.write_text("-1e308\n-1e308\n4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["ttest", "--a", str(a), "--b", str(b)]) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @corruption_settings
+    @given(data=st.data())
+    def test_a_corrupted_value_file_exits_with_one_line(self, cv_fused_dir, tmp_path, capsys,
+                                                        data):
+        metrics = cv_fused_dir / "metrics_set0.csv"
+        path = tmp_path / "a.csv"
+        path.write_bytes(data.draw(corrupted(metrics.read_bytes())))
+        assert cli.main(["ttest", "--a", str(path), "--b", str(metrics)]) in (0, 2, 3)
+        assert len(capsys.readouterr().err.strip().splitlines()) <= 1
+
 
 class TestReport:
     def test_stacks_summaries(self, cv_fused_dir, manifest, tmp_path):
@@ -889,3 +924,22 @@ class TestReport:
         assert cli.main(["report", "--inputs", str(summary)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "line 3 has" in err[0]
+
+    def test_an_oversized_cell_is_a_data_error(self, tmp_path, capsys):
+        summary = tmp_path / "s.csv"
+        summary.write_text(
+            "task,modality,n_reference_sets,sensitivity,specificity,auc\n"
+            f"nc-c,dp,1,{'9' * 200_000},0.5,0.5\n"
+        )
+        assert cli.main(["report", "--inputs", str(summary)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "line 2 is not CSV" in err[0]
+
+    @corruption_settings
+    @given(data=st.data())
+    def test_a_corrupted_summary_file_exits_with_one_line(self, cv_fused_dir, tmp_path, capsys,
+                                                          data):
+        path = tmp_path / "s.csv"
+        path.write_bytes(data.draw(corrupted((cv_fused_dir / "summary.csv").read_bytes())))
+        assert cli.main(["report", "--inputs", str(path)]) in (0, 2, 3)
+        assert len(capsys.readouterr().err.strip().splitlines()) <= 1

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +303,21 @@ class TestImages:
         path.write_bytes(b"P5\n1 1\n255\n\x7f\x00")
         assert dataio.load_image(path).pixels.tolist() == [[127]]
 
+    @pytest.mark.parametrize("img", [
+        GreyImage(np.arange(20, dtype=np.uint8).reshape(4, 5)),
+        RgbImage(np.arange(60, dtype=np.uint8).reshape(4, 5, 3)),
+    ], ids=["P5", "P6"])
+    @corruption_settings
+    @given(data=st.data())
+    def test_corrupted_image_loads_or_raises_a_data_error(self, tmp_path, img, data):
+        path = tmp_path / "i.pnm"
+        dataio.save_image(img, path)
+        path.write_bytes(data.draw(corrupted(path.read_bytes())))
+        try:
+            dataio.load_image(path)
+        except DataError:
+            pass
+
     def test_mask_round_trip(self, tmp_path):
         mask = np.array([[True, False], [False, True]])
         path = tmp_path / "m.pgm"
@@ -364,3 +381,40 @@ class TestModelEnvelope:
             dataio.load_model(path)
         except DataError:
             pass
+
+
+class TestTables:
+    def test_write_then_read_round_trips_every_cell(self, tmp_path):
+        path = tmp_path / "t.csv"
+        dataio.write_table(path, ["name", "value"], [["a,b", 1], ['q"x\ny', 0.25], ["c\x0cd", ""]])
+        assert path.read_bytes() == b'name,value\r\n"a,b",1\r\n"q""x\ny",0.25\r\nc\x0cd,\r\n'
+        assert dataio.read_table(path, "table") == [
+            (1, ["name", "value"]), (2, ["a,b", "1"]), (4, ['q"x\ny', "0.25"]), (5, ["c\x0cd", ""]),
+        ]
+
+    def test_blank_rows_are_skipped_and_lines_counted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a\n\n , \n1\n")
+        assert dataio.read_table(path, "table") == [(1, ["a"]), (4, ["1"])]
+
+    def test_text_that_csv_rejects_is_malformed(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1," + "9" * 200_000 + "\n")
+        with pytest.raises(MalformedFile, match="table .* line 2 is not CSV"):
+            dataio.read_table(path, "table")
+
+
+def test_only_dataio_imports_csv():
+    """The report-table format is decided in one module."""
+    package = Path(__file__).resolve().parents[1] / "src" / "ramanfuse"
+    importers = []
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if "csv" in names:
+                importers.append(source.stem)
+    assert importers == ["dataio"]

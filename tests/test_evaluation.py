@@ -1,6 +1,7 @@
 """Fold planning, metric, ROC, and t-test checks, including scipy-backed
 oracles for the incomplete-beta machinery."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.stats
 
 from ramanfuse import evaluation as ev
 from ramanfuse.dataio import CohortManifest, Label, SampleRecord
-from ramanfuse.errors import SingleClass, TooFewPatients, ZeroVariance
+from ramanfuse.errors import NumericalError, SingleClass, TooFewPatients, ZeroVariance
 
 
 def make_manifest(counts: dict) -> CohortManifest:
@@ -291,6 +292,12 @@ class TestStudentT:
     def test_identical_vectors_rejected(self):
         with pytest.raises(ZeroVariance):
             ev.paired_ttest([0.7, 0.8, 0.6], [0.7, 0.8, 0.6])
+
+    def test_overflowing_differences_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                ev.paired_ttest([1e308, 1e308, 5.0], [-1e308, -1e308, 4.0])
 
     def test_zero_mean_nonconstant_differences(self):
         result = ev.paired_ttest([0.5, 0.7, 0.5, 0.7], [0.7, 0.5, 0.7, 0.5])
