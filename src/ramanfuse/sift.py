@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .dataio import GreyImage
 from .errors import ImageTooSmall
@@ -95,15 +95,28 @@ def _blur_kernel(sigma: float) -> np.ndarray:
     return kernel
 
 
+def _blur_pass(img: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Kernel along one axis of a 2-D image, edges replicated: one padded
+    buffer, and a window view with sliding_window_view's shape and strides
+    (window last, stepping along axis)."""
+    radius = kernel.size // 2
+    n = img.shape[axis]
+    shape = list(img.shape)
+    shape[axis] += 2 * radius
+    pad = np.empty(shape)
+    rows, src = np.moveaxis(pad, axis, 0), np.moveaxis(img, axis, 0)
+    rows[radius:radius + n] = src
+    rows[:radius] = src[:1]
+    rows[radius + n:] = src[-1:]
+    windows = as_strided(pad, img.shape + (kernel.size,), pad.strides + (pad.strides[axis],))
+    return windows @ kernel
+
+
 def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     if sigma <= 0:
         return img.copy()
     kernel = _blur_kernel(sigma)
-    radius = kernel.size // 2
-    pad = np.pad(img, ((0, 0), (radius, radius)), mode="edge")
-    img = sliding_window_view(pad, 2 * radius + 1, axis=1) @ kernel
-    pad = np.pad(img, ((radius, radius), (0, 0)), mode="edge")
-    return sliding_window_view(pad, 2 * radius + 1, axis=0) @ kernel
+    return _blur_pass(_blur_pass(img, kernel, 1), kernel, 0)
 
 
 def build_scale_space(img: GreyImage, params: SiftParams = SiftParams()) -> ScaleSpace:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -113,6 +114,204 @@ class SvmModel:
         )
 
 
+def _check_labels(y: np.ndarray) -> None:
+    if not np.all(np.abs(y) == 1.0):
+        raise ValueError("labels must be +/-1")
+    if len(y) < 2 or len(np.unique(y)) < 2:
+        raise SingleClass("training needs both classes present")
+
+
+@dataclass(frozen=True, eq=False)
+class _Chain:
+    """One dual problem solved at each C of an axis in turn: K is the n x n
+    kernel matrix of the rows labelled y, and alpha0, when given, starts
+    the first fit."""
+
+    K: np.ndarray
+    y: np.ndarray
+    Cs: tuple
+    alpha0: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class _Fit:
+    alpha: np.ndarray  # the full dual solution, one value per training row
+    n_iter: int
+    kkt_gap: float
+    bias: float
+
+
+def _clip(same, old_i, old_j, a_i, a_j, C):
+    """A stepped pair back into [0, C], by LIBSVM's branches in their
+    order: along a_i - a_j = diff when y_i != y_j, else along
+    a_i + a_j = total."""
+    diff, total = old_i - old_j, old_i + old_j
+    d_hi, d_lo = ~same & (diff > 0), ~same & ~(diff > 0)
+    t_hi, t_lo = same & (total > C), same & ~(total > C)
+
+    def put(hit, new_i, new_j):
+        nonlocal a_i, a_j
+        if hit.any():
+            a_i, a_j = np.where(hit, new_i, a_i), np.where(hit, new_j, a_j)
+
+    put(d_hi & (a_j < 0), diff, 0.0)
+    put(d_lo & (a_i < 0), 0.0, -diff)
+    put(t_hi & (a_i > C), C, total - C)
+    put(t_lo & (a_j < 0), total, 0.0)
+    put(d_hi & (a_i > C), C, C - diff)
+    put(d_lo & (a_j > C), C + diff, C)
+    put(t_hi & (a_j > C), total - C, C)
+    put(t_lo & (a_i < 0), 0.0, total)
+    return a_i, a_j
+
+
+def _working_pair(g, y_alpha, up_bound, low_bound):
+    """i, the first argmax of g over I_up, and j, the first argmin of g
+    over I_low, along the last axis. I_up is y alpha < up_bound (C for
+    y = +1: alpha < C; 0 for y = -1: alpha > 0) and I_low is
+    y alpha > low_bound (0 for y = +1: alpha > 0; -C for y = -1:
+    alpha < C). Padding, with y = alpha = 0 and both bounds 0, is in
+    neither."""
+    i = np.where(y_alpha < up_bound, g, -math.inf).argmax(axis=-1)
+    j = np.where(y_alpha > low_bound, g, math.inf).argmin(axis=-1)
+    return i, j
+
+
+def _smo(chains, tol: float, max_iter: int):
+    """SMO on the dual problem with the maximal-violating-pair working set
+    (Fan, Chen & Lin, JMLR 2005), for many chains at once: one slot per
+    chain, and each step advances every slot with one numpy operation per
+    piece of arithmetic.
+
+    A slot keeps g = -y * grad, where grad = Q alpha - 1, and per-entry
+    bounds that give its working sets I_up (alpha < C for y = +1,
+    alpha > 0 for y = -1) and I_low (alpha > 0 for y = +1, alpha < C for
+    y = -1). i and j are the first argmax of g over I_up and argmin over
+    I_low. A fit ends when the KKT violation gap g_i - g_j drops to tol,
+    or after max_iter steps. The
+    generator then yields (chain index, C index, _Fit), and the slot
+    restarts at the chain's next C: from the solution just found when C
+    does not decrease (alpha seeding, as in DeCoste & Wagstaff, KDD 2000),
+    from zeros otherwise.
+
+    Slots are padded to the largest problem with zero Q rows and columns
+    outside both working sets, so padded entries are never picked, and
+    each fit takes the steps it would take alone, with the same
+    floating-point results. A step moves alpha_i by y_i * gap / quad and alpha_j by
+    -y_j * gap / quad before clipping: since y is +/-1, these are exactly
+    LIBSVM's updates for equal and for opposite labels.
+    """
+    n_slots, width = len(chains), max(len(chain.y) for chain in chains)
+    s = SimpleNamespace(
+        chain=np.arange(n_slots), c_idx=np.zeros(n_slots, dtype=np.intp),
+        C=np.zeros(n_slots), n_iter=np.zeros(n_slots, dtype=np.int64),
+        i=np.zeros(n_slots, dtype=np.intp), j=np.zeros(n_slots, dtype=np.intp),
+        gap=np.zeros(n_slots), y=np.zeros((n_slots, width)),
+        Q_g=np.zeros((n_slots, width, width)), qd=np.zeros((n_slots, width)),
+        alpha=np.zeros((n_slots, width)), g=np.zeros((n_slots, width)),
+        up_bound=np.zeros((n_slots, width)), low_bound=np.zeros((n_slots, width)),
+    )
+    Qs = [(chain.y[:, None] * chain.y[None, :]) * chain.K for chain in chains]
+    for b, (chain, Q) in enumerate(zip(chains, Qs)):
+        n = len(chain.y)
+        s.y[b, :n] = chain.y
+        # Rows of Q times -y: since y is +/-1, adding them to g is exactly
+        # the sign-flipped update of grad, so g holds the values of -y * grad.
+        s.Q_g[b, :n, :n] = Q * (-chain.y)[None, :]
+        s.qd[b, :n] = np.diag(Q)
+
+    def start(b, alpha0):
+        chain = chains[s.chain[b]]
+        y, n, C = chain.y, len(chain.y), chain.Cs[s.c_idx[b]]
+        s.C[b], s.n_iter[b] = C, 0
+        s.up_bound[b, :n], s.low_bound[b, :n] = np.where(y > 0, C, 0.0), np.where(y < 0, -C, 0.0)
+        if alpha0 is None:
+            s.alpha[b, :n], s.g[b, :n] = 0.0, y
+        else:
+            s.alpha[b, :n] = alpha0
+            # -y * grad at alpha0 (at alpha = 0, y itself)
+            s.g[b, :n] = y - y * (Qs[s.chain[b]] @ alpha0) if alpha0.any() else y
+        g = s.g[b]
+        i, j = _working_pair(g, s.y[b] * s.alpha[b], s.up_bound[b], s.low_bound[b])
+        s.i[b], s.j[b], s.gap[b] = i, j, g[i] - g[j]
+
+    def result(b):
+        n = len(chains[s.chain[b]].y)
+        alpha, g = s.alpha[b, :n].copy(), s.g[b, :n]
+        free = (alpha > 0) & (alpha < s.C[b])
+        if free.any():
+            bias = float(g[free].mean())
+        else:
+            bias = float((g[s.i[b]] + g[s.j[b]]) / 2.0)
+        return _Fit(alpha, int(s.n_iter[b]), float(s.gap[b]), bias)
+
+    for b, chain in enumerate(chains):
+        start(b, chain.alpha0)
+    base = np.arange(n_slots) * width  # flat index of each slot's first entry
+    Q_g_rows = s.Q_g.reshape(-1, width)
+    while True:
+        retired = []
+        for b in np.flatnonzero((s.gap <= tol) | (s.n_iter == max_iter)):
+            while s.gap[b] <= tol or s.n_iter[b] == max_iter:
+                k, p, fit = int(s.chain[b]), int(s.c_idx[b]), result(b)
+                yield k, p, fit
+                Cs = chains[k].Cs
+                if p + 1 == len(Cs):
+                    retired.append(b)
+                    break
+                s.c_idx[b] = p + 1
+                start(b, fit.alpha if Cs[p + 1] >= Cs[p] else None)
+        if retired:
+            if len(retired) == len(s.chain):
+                return
+            keep = np.ones(len(s.chain), dtype=bool)
+            keep[retired] = False
+            for name, value in vars(s).items():
+                setattr(s, name, value[keep])
+            base = np.arange(len(s.chain)) * width
+            Q_g_rows = s.Q_g.reshape(-1, width)
+
+        C, at_i, at_j = s.C, base + s.i, base + s.j
+        y_i, y_j = s.y.take(at_i), s.y.take(at_j)
+        old_i, old_j = s.alpha.take(at_i), s.alpha.take(at_j)
+        Q_g_i, Q_g_j = Q_g_rows.take(at_i, axis=0), Q_g_rows.take(at_j, axis=0)
+        # quad = Q_ii + Q_jj - 2 y_i y_j Q_ij, where -2 y_i y_j Q_ij = 2 y_i Q_g_ij
+        two_q = (2.0 * y_i) * Q_g_i.take(at_j)
+        quad = np.maximum(s.qd.take(at_i) + s.qd.take(at_j) + two_q, _TAU)
+        step = s.gap / quad
+        a_i, a_j = old_i + y_i * step, old_j - y_j * step
+        out = np.flatnonzero((np.minimum(a_i, a_j) < 0) | (np.maximum(a_i, a_j) > C))
+        if out.size:
+            a_i[out], a_j[out] = _clip(y_i[out] == y_j[out], old_i[out], old_j[out],
+                                      a_i[out], a_j[out], C[out])
+
+        s.alpha.put(at_i, a_i)
+        s.alpha.put(at_j, a_j)
+        # g += Q_g_i * (a_i - old_i) + Q_g_j * (a_j - old_j), in place
+        Q_g_i *= (a_i - old_i)[:, None]
+        Q_g_j *= (a_j - old_j)[:, None]
+        Q_g_i += Q_g_j
+        s.g += Q_g_i
+        s.n_iter += 1
+        s.i, s.j = _working_pair(s.g, s.y * s.alpha, s.up_bound, s.low_bound)
+        s.gap = s.g.take(base + s.i) - s.g.take(base + s.j)
+
+
+def _model(X: np.ndarray, y: np.ndarray, cfg: SvmConfig, fit: _Fit) -> SvmModel:
+    kept = fit.alpha > 1e-12
+    return SvmModel(
+        support_vectors=X[kept],
+        dual_coef=(fit.alpha * y)[kept],
+        bias=fit.bias,
+        kernel=cfg.kernel,
+        gamma=cfg.gamma,
+        C=cfg.C,
+        n_iter=fit.n_iter,
+        kkt_gap=fit.kkt_gap,
+        alpha=fit.alpha,
+    )
+
+
 def train(
     X: np.ndarray,
     y: np.ndarray,
@@ -121,27 +320,21 @@ def train(
     gram: np.ndarray | None = None,
     alpha0: np.ndarray | None = None,
 ) -> SvmModel:
-    """SMO on the dual problem, maximal-violating-pair working set.
+    """One fit of the solver in _smo, a batch of one chain with one C.
 
-    The dual gradient is kept incrementally as g = -y * grad; iteration
-    stops when the KKT violation gap m(alpha) - M(alpha), the largest g over
-    I_up minus the smallest over I_low, drops to cfg.tol, or after
-    cfg.max_iter steps. The model reports the steps taken, the final gap
-    and the dual solution. gram, when given, is the kernel matrix of X with
-    itself under cfg, computed by the caller (the grid search shares one
-    across C). alpha0, when given, is a feasible start (0 <= alpha0 <= C,
-    y @ alpha0 = 0), e.g. the solution at a smaller C (alpha seeding, as in
-    DeCoste & Wagstaff, KDD 2000); the default starts from zeros.
+    The model reports the steps taken, the final KKT gap (above cfg.tol
+    when cfg.max_iter ran out) and the dual solution. gram, when given, is
+    the kernel matrix of X with itself under cfg, computed by the caller.
+    alpha0, when given, is a feasible start (0 <= alpha0 <= C,
+    y @ alpha0 = 0), e.g. the solution at a smaller C; the default starts
+    from zeros.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValueError("X must be n x d and y a matching label vector")
-    if not np.all(np.abs(y) == 1.0):
-        raise ValueError("labels must be +/-1")
+    _check_labels(y)
     n = X.shape[0]
-    if n < 2 or len(np.unique(y)) < 2:
-        raise SingleClass("training needs both classes present")
     if gram is None:
         K = _kernel_matrix(X, X, cfg.kernel, cfg.gamma)
     else:
@@ -151,9 +344,7 @@ def train(
         _check_finite(K)
 
     C = float(cfg.C)
-    if alpha0 is None:
-        alpha0 = np.zeros(n)
-    else:
+    if alpha0 is not None:
         alpha0 = np.asarray(alpha0, dtype=np.float64)
         if alpha0.shape != (n,):
             raise ValueError(f"alpha0 must hold one value per row of X, got shape {alpha0.shape}")
@@ -162,108 +353,8 @@ def train(
         if abs(float(y @ alpha0)) > 1e-9 * C * n:
             raise ValueError("alpha0 must satisfy y @ alpha0 = 0")
 
-    Q = (y[:, None] * y[None, :]) * K
-    qd = np.diag(Q).tolist()
-    # Rows of Q times -y: since y is +/-1, adding them to g is exactly the
-    # sign-flipped update of grad, so g holds the values of -y * grad.
-    Q_g = Q * (-y)[None, :]
-    # -y * grad, where grad = Q alpha - 1 (at alpha = 0, y itself)
-    g = y - y * (Q @ alpha0) if alpha0.any() else y.copy()
-    labels = y.tolist()
-    alpha = alpha0.tolist()
-    # Working-set masks as additive penalties: 0 inside, -inf/+inf outside
-    # I_up (alpha < C for y = +1, alpha > 0 for y = -1) and I_low (alpha > 0
-    # for y = +1, alpha < C for y = -1). argmax/argmin of g + penalty pick
-    # the first extreme index inside the mask; the gap and the bias read g
-    # itself.
-    pos = y > 0
-    pen_up = np.where(np.where(pos, alpha0 < C, alpha0 > 0), 0.0, -math.inf)
-    pen_low = np.where(np.where(pos, alpha0 > 0, alpha0 < C), 0.0, math.inf)
-    g_up, g_low = np.empty(n), np.empty(n)
-
-    n_iter = 0
-    while True:
-        i = int(np.add(g, pen_up, out=g_up).argmax())
-        j = int(np.add(g, pen_low, out=g_low).argmin())
-        gap = float(g[i] - g[j])
-        if gap <= cfg.tol or n_iter == cfg.max_iter:
-            break
-        n_iter += 1
-
-        y_i, y_j = labels[i], labels[j]
-        grad_i, grad_j = -y_i * float(g[i]), -y_j * float(g[j])
-        old_i, old_j = a_i, a_j = alpha[i], alpha[j]
-        if y_i != y_j:
-            quad = max(qd[i] + qd[j] + 2.0 * float(Q[i, j]), _TAU)
-            delta = (-grad_i - grad_j) / quad
-            diff = a_i - a_j
-            a_i += delta
-            a_j += delta
-            if diff > 0:
-                if a_j < 0:
-                    a_j = 0.0
-                    a_i = diff
-            else:
-                if a_i < 0:
-                    a_i = 0.0
-                    a_j = -diff
-            if diff > 0:
-                if a_i > C:
-                    a_i = C
-                    a_j = C - diff
-            else:
-                if a_j > C:
-                    a_j = C
-                    a_i = C + diff
-        else:
-            quad = max(qd[i] + qd[j] - 2.0 * float(Q[i, j]), _TAU)
-            delta = (grad_i - grad_j) / quad
-            total = a_i + a_j
-            a_i -= delta
-            a_j += delta
-            if total > C:
-                if a_i > C:
-                    a_i = C
-                    a_j = total - C
-            else:
-                if a_j < 0:
-                    a_j = 0.0
-                    a_i = total
-            if total > C:
-                if a_j > C:
-                    a_j = C
-                    a_i = total - C
-            else:
-                if a_i < 0:
-                    a_i = 0.0
-                    a_j = total
-
-        alpha[i], alpha[j] = a_i, a_j
-        g += Q_g[i] * (a_i - old_i) + Q_g[j] * (a_j - old_j)
-        for k, a in ((i, a_i), (j, a_j)):
-            in_up, in_low = (a < C, a > 0) if labels[k] > 0 else (a > 0, a < C)
-            pen_up[k] = 0.0 if in_up else -math.inf
-            pen_low[k] = 0.0 if in_low else math.inf
-
-    alpha = np.array(alpha)
-    free = (alpha > 0) & (alpha < C)
-    if free.any():
-        bias = float(g[free].mean())
-    else:
-        bias = float((g[i] + g[j]) / 2.0)
-
-    kept = alpha > 1e-12
-    return SvmModel(
-        support_vectors=X[kept].copy(),
-        dual_coef=(alpha * y)[kept],
-        bias=bias,
-        kernel=cfg.kernel,
-        gamma=cfg.gamma,
-        C=cfg.C,
-        n_iter=n_iter,
-        kkt_gap=gap,
-        alpha=alpha,
-    )
+    (_, _, fit), = _smo([_Chain(K, y, (C,), alpha0)], cfg.tol, cfg.max_iter)
+    return _model(X, y, cfg, fit)
 
 
 def decision(model: SvmModel, x: np.ndarray) -> np.ndarray:
@@ -399,37 +490,37 @@ def enumerate_grid(
     return entries
 
 
-def _fold_grams(X: np.ndarray, folds) -> list:
-    """Per fold, the training block's linear Gram and squared distances,
-    by the arithmetic of _kernel_matrix on that block with itself."""
-    grams = []
-    for train_idx, _ in folds:
-        a = X[train_idx]
-        ab = a @ a.T
-        grams.append((ab, _sq_distances(a, a, ab)))
-    return grams
-
-
-def _evaluate_group(shared, group):
-    """Fold accuracies of every configuration of one (feature set, kernel,
-    gamma) group; each fold's kernel matrix is built once for all its C.
-    Each fit starts from the previous fit's dual solution, which is feasible
-    when C does not decrease; a fit at a smaller C starts from zeros."""
-    matrices, grams, y, folds = shared
-    key, configs = group
+def _search_feature_set(shared, task):
+    """Fold accuracies of every configuration of one feature set, per
+    (kernel, gamma) group and C. One _smo batch solves them all, with one
+    chain per group and fold; each fold's linear Gram and squared distances
+    are built once, by the arithmetic of _kernel_matrix on the training
+    block with itself."""
+    matrices, y, folds = shared
+    key, groups = task
     X = matrices[key]
-    kernel, gamma = configs[0].kernel, configs[0].gamma
-    accs = [[] for _ in configs]
-    for (train_idx, test_idx), (ab, d2) in zip(folds, grams[key]):
+    blocks = []
+    for train_idx, test_idx in folds:
         X_train, y_train = X[train_idx], y[train_idx]
-        X_test, y_test = X[test_idx], y[test_idx]
-        gram = ab if kernel == "linear" else _rbf(d2, gamma)
-        model = None
-        for cfg, fold_accs in zip(configs, accs):
-            alpha0 = model.alpha if model is not None and cfg.C >= model.C else None
-            model = train(X_train, y_train, cfg, gram=gram, alpha0=alpha0)
-            fold_accs.append(float((predict(model, X_test) == y_test).mean()))
-    return [tuple(a) for a in accs]
+        _check_labels(y_train)
+        ab = X_train @ X_train.T
+        blocks.append((X_train, y_train, X[test_idx], y[test_idx], ab,
+                       _sq_distances(X_train, X_train, ab)))
+    chains = []
+    for configs in groups:
+        kernel, gamma = configs[0].kernel, configs[0].gamma
+        Cs = tuple(float(cfg.C) for cfg in configs)
+        for _, y_train, _, _, ab, d2 in blocks:
+            K = _check_finite(ab if kernel == "linear" else _rbf(d2, gamma))
+            chains.append(_Chain(K, y_train, Cs))
+    accs = [[[None] * len(folds) for _ in configs] for configs in groups]
+    cfg = groups[0][0]
+    for k, p, fit in _smo(chains, cfg.tol, cfg.max_iter):
+        group, fold = divmod(k, len(folds))
+        X_train, y_train, X_test, y_test, _, _ = blocks[fold]
+        model = _model(X_train, y_train, groups[group][p], fit)
+        accs[group][p][fold] = float((predict(model, X_test) == y_test).mean())
+    return [[tuple(a) for a in group_accs] for group_accs in accs]
 
 
 def grid_search(
@@ -445,9 +536,10 @@ def grid_search(
     """Exhaustive CV accuracy search.
 
     feature_sets maps a feature key (e.g. (k_dp, k_rci)) to its n x d matrix,
-    iterated in the given order. One unit of (parallel) work is one
-    (feature set, kernel, gamma) group over the whole C axis. Selection is
-    the first configuration attaining the maximum unweighted mean of
+    iterated in the given order. One unit of (parallel) work is one feature
+    set: every fit along the C axis of each (kernel, gamma, fold) starts
+    from the previous C's dual solution when C does not decrease. Selection
+    is the first configuration attaining the maximum unweighted mean of
     per-fold accuracies, so results do not depend on worker scheduling.
     """
     y = np.asarray(y, dtype=np.float64)
@@ -460,14 +552,15 @@ def grid_search(
     groups = {}
     for idx, entry in enumerate(entries):
         cfg = entry.config
-        groups.setdefault((entry.feature_key, cfg.kernel, cfg.gamma), []).append(idx)
-    grams = {key: _fold_grams(X, folds) for key, X in matrices.items()}
-    tasks = [(key, [entries[i].config for i in idxs]) for (key, _, _), idxs in groups.items()]
-    results = parallel_map(_evaluate_group, (matrices, grams, y, folds), tasks, jobs)
+        groups.setdefault(entry.feature_key, {}).setdefault((cfg.kernel, cfg.gamma), []).append(idx)
+    tasks = [(key, [[entries[i].config for i in idxs] for idxs in by_group.values()])
+             for key, by_group in groups.items()]
+    results = parallel_map(_search_feature_set, (matrices, y, folds), tasks, jobs)
     fold_accs = [None] * len(entries)
-    for idxs, group_accs in zip(groups.values(), results):
-        for idx, accs in zip(idxs, group_accs):
-            fold_accs[idx] = accs
+    for by_group, set_accs in zip(groups.values(), results):
+        for idxs, group_accs in zip(by_group.values(), set_accs):
+            for idx, accs in zip(idxs, group_accs):
+                fold_accs[idx] = accs
 
     rows = []
     best_idx, best_mean = None, -1.0

@@ -105,6 +105,28 @@ class TestScaleSpace:
         with pytest.raises(ImageTooSmall):
             build_scale_space(GreyImage(np.zeros((15, 40), dtype=np.uint8)))
 
+    @pytest.mark.parametrize("shape", [(16, 16), (37, 20), (3, 50), (1, 1)])
+    @pytest.mark.parametrize("sigma", [0.2, 1.226, 1.6, 3.0])
+    def test_blur_matches_padded_window_reference(self, shape, sigma):
+        """Byte-identical to np.pad(mode="edge") plus sliding_window_view
+        per pass, on contiguous levels and on strided (downsampled) ones."""
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        from ramanfuse.sift import _blur_kernel, _gaussian_blur
+
+        def reference(img):
+            kernel = _blur_kernel(sigma)
+            r = kernel.size // 2
+            img = sliding_window_view(np.pad(img, ((0, 0), (r, r)), mode="edge"),
+                                      2 * r + 1, axis=1) @ kernel
+            return sliding_window_view(np.pad(img, ((r, r), (0, 0)), mode="edge"),
+                                       2 * r + 1, axis=0) @ kernel
+
+        rng = np.random.default_rng(8)
+        whole = rng.random((2 * shape[0], 2 * shape[1]))
+        for img in (whole[: shape[0], : shape[1]].copy(), whole[::2, ::2]):
+            assert _gaussian_blur(img, sigma).tobytes() == reference(img).tobytes()
+
 
 def dense_local_extrema(dog, floor):
     """Reference: every interior point against all 26 neighbours at once."""

@@ -1,5 +1,6 @@
 """Classifier tests: analytic margin geometry, an exhaustive dual-QP oracle,
-probability calibration behaviour, and grid-search bookkeeping."""
+a one-fit-at-a-time SMO oracle for the batched solver, probability
+calibration behaviour, and grid-search bookkeeping."""
 import itertools
 import json
 import math
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramanfuse import bovw, dataio, svm
 from ramanfuse.errors import (
@@ -71,6 +74,108 @@ def qp_oracle(K, y, C):
             continue
         best = max(best, dual_value(alpha, Q))
     return best
+
+
+def scalar_smo(K, y, C, tol, max_iter, alpha0=None):
+    """One SMO fit, one step at a time in Python floats: the reference
+    that svm._smo, which advances many fits at once, must match bit for
+    bit. Returns (alpha, n_iter, kkt_gap, bias)."""
+    n = len(y)
+    alpha0 = np.zeros(n) if alpha0 is None else alpha0
+    Q = (y[:, None] * y[None, :]) * K
+    qd = np.diag(Q).tolist()
+    Q_g = Q * (-y)[None, :]
+    g = y - y * (Q @ alpha0) if alpha0.any() else y.copy()
+    labels = y.tolist()
+    alpha = alpha0.tolist()
+    pos = y > 0
+    pen_up = np.where(np.where(pos, alpha0 < C, alpha0 > 0), 0.0, -math.inf)
+    pen_low = np.where(np.where(pos, alpha0 > 0, alpha0 < C), 0.0, math.inf)
+    n_iter = 0
+    while True:
+        i = int((g + pen_up).argmax())
+        j = int((g + pen_low).argmin())
+        gap = float(g[i] - g[j])
+        if gap <= tol or n_iter == max_iter:
+            break
+        n_iter += 1
+        y_i, y_j = labels[i], labels[j]
+        grad_i, grad_j = -y_i * float(g[i]), -y_j * float(g[j])
+        old_i, old_j = a_i, a_j = alpha[i], alpha[j]
+        if y_i != y_j:
+            quad = max(qd[i] + qd[j] + 2.0 * float(Q[i, j]), svm._TAU)
+            delta = (-grad_i - grad_j) / quad
+            diff = a_i - a_j
+            a_i += delta
+            a_j += delta
+            if diff > 0:
+                if a_j < 0:
+                    a_j, a_i = 0.0, diff
+            elif a_i < 0:
+                a_i, a_j = 0.0, -diff
+            if diff > 0:
+                if a_i > C:
+                    a_i, a_j = C, C - diff
+            elif a_j > C:
+                a_j, a_i = C, C + diff
+        else:
+            quad = max(qd[i] + qd[j] - 2.0 * float(Q[i, j]), svm._TAU)
+            delta = (grad_i - grad_j) / quad
+            total = a_i + a_j
+            a_i -= delta
+            a_j += delta
+            if total > C:
+                if a_i > C:
+                    a_i, a_j = C, total - C
+            elif a_j < 0:
+                a_j, a_i = 0.0, total
+            if total > C:
+                if a_j > C:
+                    a_j, a_i = C, total - C
+            elif a_i < 0:
+                a_i, a_j = 0.0, total
+        alpha[i], alpha[j] = a_i, a_j
+        g += Q_g[i] * (a_i - old_i) + Q_g[j] * (a_j - old_j)
+        for k, a in ((i, a_i), (j, a_j)):
+            in_up, in_low = (a < C, a > 0) if labels[k] > 0 else (a > 0, a < C)
+            pen_up[k] = 0.0 if in_up else -math.inf
+            pen_low[k] = 0.0 if in_low else math.inf
+    alpha = np.array(alpha)
+    free = (alpha > 0) & (alpha < C)
+    bias = float(g[free].mean()) if free.any() else float((g[i] + g[j]) / 2.0)
+    return alpha, n_iter, gap, bias
+
+
+def scalar_chain(K, y, Cs, tol, max_iter):
+    """scalar_smo at each C in turn, each fit started from the previous
+    one's alpha when C does not decrease and from zeros otherwise."""
+    fits, alpha = [], None
+    for p, c in enumerate(Cs):
+        fit = scalar_smo(K, y, c, tol, max_iter, alpha if p and c >= Cs[p - 1] else None)
+        fits.append(fit)
+        alpha = fit[0]
+    return fits
+
+
+def assert_same_fit(fit, expected):
+    alpha, n_iter, gap, bias = expected
+    assert fit.alpha.tobytes() == alpha.tobytes()
+    assert (fit.n_iter, fit.kkt_gap, fit.bias) == (n_iter, gap, bias)
+
+
+def record_fits(monkeypatch) -> dict:
+    """Patch svm._smo to also keep every fit it yields, by (batch, chain, C
+    index)."""
+    fits, real_smo = {}, svm._smo
+
+    def smo(chains, tol, max_iter):
+        batch = len({key[0] for key in fits})
+        for k, p, fit in real_smo(chains, tol, max_iter):
+            fits[batch, k, p] = fit
+            yield k, p, fit
+
+    monkeypatch.setattr(svm, "_smo", smo)
+    return fits
 
 
 def random_instance(rng, n):
@@ -272,6 +377,58 @@ class TestOracle:
             achieved = dual_objective(model)
             target = qp_oracle(K, y, C)
             assert achieved == pytest.approx(target, abs=1e-6 * (1 + abs(target)))
+
+
+@st.composite
+def smo_batches(draw):
+    """A batch of chains: small problems (2-12 rows, both labels, linear or
+    rbf, integer features for exact ties), each with a C axis that may
+    rise, repeat and drop; one tol and max_iter for the batch."""
+    kernel = draw(st.sampled_from(svm.KERNELS))
+    gamma = draw(st.sampled_from([0.125, 1.0, 4.0]))
+    problems = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(2, 12))
+        y = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
+                 .filter(lambda labels: len(set(labels)) == 2))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        X = rng.integers(-2, 3, size=(n, 2)) if draw(st.booleans()) else rng.normal(size=(n, 3))
+        Cs = draw(st.lists(st.sampled_from([0.125, 1.0, 1.5, 16.0, 1024.0]), min_size=1, max_size=5))
+        problems.append((X.astype(np.float64), np.array(y), tuple(Cs)))
+    tol = draw(st.sampled_from([1e-3, 1e-8]))
+    max_iter = draw(st.sampled_from([0, 2, 7, 30, 200_000]))
+    return kernel, gamma, problems, tol, max_iter
+
+
+class TestBatchedSolver:
+    """svm._smo against scalar_smo, the one-fit-at-a-time loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(smo_batches())
+    def test_batch_matches_fits_made_one_at_a_time(self, batch):
+        kernel, gamma, problems, tol, max_iter = batch
+        chains, expected = [], []
+        for X, y, Cs in problems:
+            K = svm._kernel_matrix(X, X, kernel, gamma)
+            chains.append(svm._Chain(K, y, Cs))
+            expected.append(scalar_chain(K, y, Cs, tol, max_iter))
+        fits = {(k, p): fit for k, p, fit in svm._smo(chains, tol, max_iter)}
+        assert sorted(fits) == [(k, p) for k, (_, _, Cs) in enumerate(problems)
+                                for p in range(len(Cs))]
+        for (k, p), fit in fits.items():
+            assert_same_fit(fit, expected[k][p])
+
+    @settings(max_examples=50, deadline=None)
+    @given(smo_batches())
+    def test_train_is_a_batch_of_one(self, batch):
+        kernel, gamma, problems, tol, max_iter = batch
+        X, y, Cs = problems[0]
+        K = svm._kernel_matrix(X, X, kernel, gamma)
+        start = scalar_smo(K, y, min(Cs), tol, max_iter)[0]
+        cfg = svm.SvmConfig(C=max(Cs), kernel=kernel, gamma=gamma, tol=tol, max_iter=max_iter)
+        for alpha0 in (None, start):
+            model = svm.train(X, y, cfg, alpha0=alpha0)
+            assert_same_fit(model, scalar_smo(K, y, cfg.C, tol, max_iter, alpha0))
 
 
 class TestDecisionPredict:
@@ -476,32 +633,61 @@ class TestGridSearch:
             svm.grid_search({}, y, two_folds(60))
 
     def test_parallel_matches_serial(self):
+        # Two feature sets and uneven folds: each batch pads its chains to
+        # the largest training fold, and jobs=2 solves the sets in two
+        # processes. Every row must equal fits made one at a time by train.
         X, y = tiny_dataset(4)
-        kwargs = dict(c_grid=(0.5, 8.0), gamma_grid=(0.5,))
-        serial = svm.grid_search({("f",): X}, y, two_folds(60), **kwargs)
-        parallel = svm.grid_search({("f",): X}, y, two_folds(60), jobs=2, **kwargs)
+        sets = {("f",): X, ("g",): np.hstack([X, X[:, :1] ** 2])}
+        idx = np.arange(len(y))
+        folds = [(np.setdiff1d(idx, test), test) for test in np.split(idx, [12, 32])]
+        kwargs = dict(c_grid=(0.5, 8.0, 2.0), gamma_grid=(0.5, 2.0))
+        serial = svm.grid_search(sets, y, folds, **kwargs)
+        parallel = svm.grid_search(sets, y, folds, jobs=2, **kwargs)
         assert serial.rows == parallel.rows
         assert serial.best == parallel.best
+        models = {}
+        for key, kernel, c, gamma, accs, _ in serial.rows:
+            cfg = svm.SvmConfig(C=c, kernel=kernel, gamma=1.0 if gamma is None else gamma)
+            expected = []
+            for n, (tr, te) in enumerate(folds):
+                prev = models.get((key, kernel, gamma, n))
+                alpha0 = prev.alpha if prev is not None and c >= prev.C else None
+                model = models[key, kernel, gamma, n] = svm.train(
+                    sets[key][tr], y[tr], cfg, alpha0=alpha0)
+                expected.append(float((svm.predict(model, sets[key][te]) == y[te]).mean()))
+            assert accs == tuple(expected), (key, kernel, c, gamma)
 
     def test_each_fit_starts_from_the_previous_c(self, monkeypatch):
         X, y = tiny_dataset()
-        fits = []
-        real_train = svm.train
+        folds = two_folds(len(y))
+        c_grid = (0.5, 2.0, 8.0, 2.0)
+        fits = record_fits(monkeypatch)
+        svm.grid_search({("a",): X}, y, folds, c_grid=c_grid, kernels=("linear",))
+        assert sorted(fits) == [(0, k, p) for k in range(2) for p in range(4)]
+        cfg = svm.SvmConfig()
+        for k, (tr, _) in enumerate(folds):
+            block = X[tr]
+            K = block @ block.T  # one operand, as the grid builds it (numpy may use syrk)
+            expected = scalar_chain(K, y[tr], c_grid, cfg.tol, cfg.max_iter)
+            for p in range(4):
+                assert_same_fit(fits[0, k, p], expected[p])
+            # The seeded fits are not the cold ones; the one after the drop is.
+            cold = [scalar_smo(K, y[tr], c, cfg.tol, cfg.max_iter)[1] for c in c_grid]
+            assert [fits[0, k, p].n_iter == cold[p] for p in range(4)] == [True, False, False, True]
 
-        def train(X_, y_, cfg, **kwargs):
-            model = real_train(X_, y_, cfg, **kwargs)
-            fits.append((cfg.C, kwargs.get("alpha0"), model))
-            return model
+    def test_single_class_training_fold_rejected(self):
+        X, y = tiny_dataset()
+        idx = np.arange(len(y))
+        folds = [(idx[y > 0], idx[y < 0]), (idx[y < 0], idx[y > 0])]
+        with pytest.raises(SingleClass):
+            svm.grid_search({("f",): X}, y, folds, c_grid=(1.0,), kernels=("linear",))
 
-        monkeypatch.setattr(svm, "train", train)
-        svm.grid_search({("a",): X}, y, two_folds(len(y)), c_grid=(0.5, 2.0, 8.0),
-                        kernels=("linear",))
-        assert [c for c, _, _ in fits] == [0.5, 2.0, 8.0] * 2
-        for n, (_, alpha0, _) in enumerate(fits):
-            if n % 3 == 0:
-                assert alpha0 is None
-            else:
-                assert np.array_equal(alpha0, fits[n - 1][2].alpha)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_features_rejected(self, value):
+        X, y = tiny_dataset()
+        X[4, 1] = value
+        with pytest.raises(DegenerateKernel):
+            svm.grid_search({("f",): X}, y, two_folds(len(y)), c_grid=(1.0,), gamma_grid=(1.0,))
 
     def test_unsorted_c_axis_matches_cold_fits(self):
         X, y = tiny_dataset()
