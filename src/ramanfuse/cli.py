@@ -1,5 +1,6 @@
 """Command-line front end: one subcommand per pipeline stage, wired for
-reproducibility (every run is a pure function of its inputs and --seed).
+reproducibility (every run is a pure function of its inputs and, for the
+subcommands that draw random numbers, --seed).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 A JSON config file (--config) supplies defaults for any long flag, with
@@ -52,6 +53,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _fold_count(text: str) -> int:
+    if _positive_int(text) < 2:
+        raise argparse.ArgumentTypeError(f"cross-validation needs two or more folds, got {text!r}")
+    return int(text)
+
+
 def _open_fraction(text: str) -> float:
     if not 0.0 < float(text) < 1.0:
         raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text!r}")
@@ -99,9 +106,9 @@ FLAGS = {
     "k": dict(type=_positive_int, help="dictionary size (default: --k-dp or --k-rci)"),
     "dp-dict": dict(help="DP dictionary file"),
     "rci-dict": dict(help="RCI dictionary file"),
-    "kernel": dict(choices=svm.KERNELS, default=_PIPELINE.svm_config.kernel),
-    "c": dict(type=float, default=_PIPELINE.svm_config.C),
-    "gamma": dict(type=float, default=_PIPELINE.svm_config.gamma),
+    "kernel": dict(choices=svm.KERNELS, default=experiments.SVM_CONFIG.kernel),
+    "c": dict(type=float, default=experiments.SVM_CONFIG.C),
+    "gamma": dict(type=float, default=experiments.SVM_CONFIG.gamma),
     "pretreatment": dict(help="pretreatment chain (default: the task's)"),
     "n-lv": dict(type=_positive_int, help="latent variables (default: the task's)"),
     "n-reference-sets": dict(type=int, choices=REFERENCE_SET_COUNTS, default=1),
@@ -122,7 +129,12 @@ FLAGS = {
     "b": dict(help="CSV whose last column holds the second sample"),
     "inputs": dict(type=_list(str), help="comma list of summary.csv files"),
 }
-PIPELINE_FLAGS = ("dp-size", "rci-size", "k-dp", "k-rci", "folds", "reference-fraction")
+# The PipelineConfig fields, by the handlers that read them: image sizes
+# (every SIFT extraction), dictionary sizes and the reference/fold split.
+SIZE_FLAGS = ("dp-size", "rci-size")
+DICT_FLAGS = ("k-dp", "k-rci")
+SPLIT_FLAGS = ("folds", "reference-fraction")
+PIPELINE_FLAGS = (*SIZE_FLAGS, *DICT_FLAGS, *SPLIT_FLAGS)
 SVM_FLAGS = ("kernel", "c", "gamma")
 PLS_FLAGS = ("pretreatment", "n-lv")
 
@@ -160,8 +172,9 @@ def _check_config(parser: argparse.ArgumentParser, config: dict) -> dict:
 
 
 def _pipeline_config(args) -> experiments.PipelineConfig:
-    dests = (flag.replace("-", "_") for flag in PIPELINE_FLAGS)
-    return replace(_PIPELINE, **{dest: getattr(args, dest) for dest in dests})
+    """The defaults, with the fields of the pipeline flags this command has."""
+    names = {field.name for field in fields(experiments.PipelineConfig)}
+    return replace(_PIPELINE, **{k: v for k, v in vars(args).items() if k in names})
 
 
 def _svm_config(args) -> svm.SvmConfig:
@@ -436,11 +449,10 @@ def _cmd_grid(args) -> int:
 def _cmd_pls_select(args) -> int:
     manifest = _load_task_manifest(args)
     out = _out_path(args, "CSV file")
-    cfg = _pipeline_config(args)
     if args.pretreatments == []:
         raise _UsageError("an empty menu is not valid for --pretreatments")
     menu = [spectral.parse_pretreatment(m) for m in args.pretreatments or ()]
-    desc = experiments.extract_cohort(manifest, args.task, cfg, routes=())
+    desc = experiments.extract_cohort(manifest, args.task, routes=())
     if args.pretreatments is None:
         n_bands = desc.medians.shape[1]
         full = spectral.standard_menu()
@@ -539,39 +551,44 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
 
     def add(name, func, help_text, flags, **overrides):
-        """A subcommand taking --config, --seed and flags; overrides maps a
-        flag to the add_argument keywords it changes for this command."""
+        """A subcommand taking --config and flags; overrides maps a flag to
+        the add_argument keywords it changes for this command."""
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func, parser=p)
-        for flag in ("config", "seed", *flags):
+        for flag in ("config", *flags):
             p.add_argument(f"--{flag}", **{**FLAGS[flag], **overrides.get(flag, {})})
 
     add("synth", _cmd_synth, "generate a synthetic cohort with known ground truth",
-        ("out", "n-patients", "n-samples", "dp-signal", "rci-signal", "image-size",
+        ("seed", "out", "n-patients", "n-samples", "dp-signal", "rci-signal", "image-size",
          "cube-size", "n-bands"))
     add("preprocess", _cmd_preprocess,
         "write prepared grey images and tissue masks for every sample",
-        ("manifest", "out", *PIPELINE_FLAGS))
+        ("manifest", "out", *SIZE_FLAGS))
     add("median-spectrum", _cmd_median_spectrum, "write per-sample median spectra",
         ("manifest", "out"))
     add("build-dict", _cmd_build_dict,
         "cluster reference-patient descriptors into a visual dictionary",
-        ("manifest", "out", "task", "modality", "k", *PIPELINE_FLAGS),
+        ("seed", "manifest", "out", "task", "modality", "k", *PIPELINE_FLAGS),
         modality=dict(choices=experiments.IMAGE_ROUTES, default=None))
     add("encode", _cmd_encode, "encode samples against saved dictionaries",
-        ("manifest", "out", "task", "modality", "dp-dict", "rci-dict", *PIPELINE_FLAGS),
+        ("manifest", "out", "task", "modality", "dp-dict", "rci-dict", *SIZE_FLAGS),
         modality=dict(choices=("dp", "rci", "fused")))
     add("train", _cmd_train, "train one calibrated model on the classification set",
-        ("manifest", "out", "task", "modality", *SVM_FLAGS, *PLS_FLAGS, *PIPELINE_FLAGS))
+        ("seed", "manifest", "out", "task", "modality", *SVM_FLAGS, *PLS_FLAGS,
+         *PIPELINE_FLAGS))
     add("cv", _cmd_cv, "patient-grouped cross-validation with report files",
-        ("manifest", "out", "task", "modality", "n-reference-sets", *SVM_FLAGS, *PLS_FLAGS,
-         *PIPELINE_FLAGS))
+        ("seed", "manifest", "out", "task", "modality", "n-reference-sets", *SVM_FLAGS,
+         *PLS_FLAGS, *PIPELINE_FLAGS),
+        folds=dict(type=_fold_count))
+    # grid reads neither --k-dp nor --k-rci (--dp-sizes and --rci-sizes give
+    # the sizes it searches), but keeps both so that command lines passing
+    # them still run.
     add("grid", _cmd_grid, "exhaustive dictionary/kernel/C/gamma accuracy search",
-        ("manifest", "out", "task", "jobs", "dp-sizes", "rci-sizes", "c-grid", "gamma-grid",
-         "kernels", *PIPELINE_FLAGS))
+        ("seed", "manifest", "out", "task", "jobs", "dp-sizes", "rci-sizes", "c-grid",
+         "gamma-grid", "kernels", *PIPELINE_FLAGS),
+        folds=dict(type=_fold_count))
     add("pls-select", _cmd_pls_select, "repeated-split selection of pretreatment and LV count",
-        ("manifest", "out", "task", "n-repeats", "lv-max", "pretreatments", "jobs",
-         *PIPELINE_FLAGS))
+        ("seed", "manifest", "out", "task", "n-repeats", "lv-max", "pretreatments", "jobs"))
     add("ttest", _cmd_ttest, "paired two-tail t-test between two value columns",
         ("a", "b", "out"))
     add("report", _cmd_report, "stack cv summaries into one comparison table",

@@ -323,8 +323,12 @@ def load_cube(path) -> HyperspectralCube:
         if axis.shape[0] != b:
             raise TruncatedData("wavenumber axis length != n_bands")
         if variant == "binary":
-            raw = fh.read(8 * w * h * b)
-            if len(raw) != 8 * w * h * b:
+            count = 8 * w * h * b
+            if count > os.fstat(fh.fileno()).st_size - fh.tell():
+                raise TruncatedData(f"cube declares {w}x{h} pixels of {b} bands, "
+                                    "more than the file holds")
+            raw = fh.read(count)
+            if len(raw) != count:
                 raise TruncatedData("binary cube payload short")
             data = np.frombuffer(raw, dtype="<f8").reshape(h, w, b)
         else:

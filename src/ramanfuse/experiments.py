@@ -20,6 +20,9 @@ IMAGE_ROUTES = ("dp", "rci")
 # exactly these.
 ROUTES = {"dp": ("dp",), "rci": ("rci",), "fused": IMAGE_ROUTES, "median-spectrum": ()}
 MODALITIES = tuple(ROUTES)
+# The paper's SIFT setting and SVM operating point.
+SIFT_PARAMS = SiftParams(contrast_threshold=0.02, upsample_first=True)
+SVM_CONFIG = svm.SvmConfig(C=10.0, kernel="rbf", gamma=4.0)
 
 
 @dataclass(frozen=True)
@@ -30,8 +33,6 @@ class PipelineConfig:
     k_rci: int = 20
     folds: int = 5
     reference_fraction: float = 52.0 / 179.0
-    sift: SiftParams = SiftParams(contrast_threshold=0.02, upsample_first=True)
-    svm_config: svm.SvmConfig = svm.SvmConfig(C=10.0, kernel="rbf", gamma=4.0)
 
 
 # --- per-sample preprocessing ----------------------------------------------------
@@ -198,7 +199,7 @@ def extract_cohort(
     for record in records:
         sample = prepare_sample(record, config, routes)
         for route, descriptors in table.items():
-            descriptors.append(descriptor_matrix(extract(getattr(sample, route), config.sift)))
+            descriptors.append(descriptor_matrix(extract(getattr(sample, route), SIFT_PARAMS)))
         if medians and not np.array_equal(sample.median.wavenumbers, medians[0].wavenumbers):
             raise DimMismatch(f"sample {record.sample_id} has another wavenumber axis "
                               f"than sample {records[0].sample_id}")
@@ -262,9 +263,8 @@ def svm_fold_functions(cfg: svm.SvmConfig):
 
 
 def run_bovw_cv(
-    features: CohortFeatures, modality: str, cfg: svm.SvmConfig | None = None
+    features: CohortFeatures, modality: str, cfg: svm.SvmConfig = SVM_CONFIG
 ) -> evaluation.EvalReport:
-    cfg = features.config.svm_config if cfg is None else cfg
     fit, score = svm_fold_functions(cfg)
     return evaluation.cross_validate(
         features.matrix(modality), features.y, plan_fold_indices(features), fit, score

@@ -4,7 +4,7 @@ Platt probability calibration, exhaustive parameter grid search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,13 +70,10 @@ class SvmModel:
     C: float
     platt_a: float | None = None
     platt_b: float | None = None
-    # Solver report of the fit that made the model: SMO steps taken, the
-    # final KKT gap (above the fit's tol when max_iter ran out) and the full
-    # dual solution, one alpha per training row (a start for the next fit).
-    # Not saved.
+    # Solver report of the fit that made the model: SMO steps taken and the
+    # final KKT gap (above the fit's tol when max_iter ran out). Not saved.
     n_iter: int | None = None
     kkt_gap: float | None = None
-    alpha: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         sv, coef = np.asarray(self.support_vectors), np.asarray(self.dual_coef)
@@ -124,13 +121,11 @@ def _check_labels(y: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class _Chain:
     """One dual problem solved at each C of an axis in turn: K is the n x n
-    kernel matrix of the rows labelled y, and alpha0, when given, starts
-    the first fit."""
+    kernel matrix of the rows labelled y."""
 
     K: np.ndarray
     y: np.ndarray
     Cs: tuple
-    alpha0: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -220,17 +215,19 @@ def _smo(chains, tol: float, max_iter: int):
         s.Q_g[b, :n, :n] = Q * (-chain.y)[None, :]
         s.qd[b, :n] = np.diag(Q)
 
-    def start(b, alpha0):
+    def start(b, warm):
+        """Slot b at its chain's C index: from warm, the previous C's
+        alpha, or from zeros when warm is None."""
         chain = chains[s.chain[b]]
         y, n, C = chain.y, len(chain.y), chain.Cs[s.c_idx[b]]
         s.C[b], s.n_iter[b] = C, 0
         s.up_bound[b, :n], s.low_bound[b, :n] = np.where(y > 0, C, 0.0), np.where(y < 0, -C, 0.0)
-        if alpha0 is None:
+        if warm is None:
             s.alpha[b, :n], s.g[b, :n] = 0.0, y
         else:
-            s.alpha[b, :n] = alpha0
-            # -y * grad at alpha0 (at alpha = 0, y itself)
-            s.g[b, :n] = y - y * (Qs[s.chain[b]] @ alpha0) if alpha0.any() else y
+            s.alpha[b, :n] = warm
+            # -y * grad at warm (at alpha = 0, y itself)
+            s.g[b, :n] = y - y * (Qs[s.chain[b]] @ warm) if warm.any() else y
         g = s.g[b]
         i, j = _working_pair(g, s.y[b] * s.alpha[b], s.up_bound[b], s.low_bound[b])
         s.i[b], s.j[b], s.gap[b] = i, j, g[i] - g[j]
@@ -245,8 +242,8 @@ def _smo(chains, tol: float, max_iter: int):
             bias = float((g[s.i[b]] + g[s.j[b]]) / 2.0)
         return _Fit(alpha, int(s.n_iter[b]), float(s.gap[b]), bias)
 
-    for b, chain in enumerate(chains):
-        start(b, chain.alpha0)
+    for b in range(n_slots):
+        start(b, None)
     base = np.arange(n_slots) * width  # flat index of each slot's first entry
     Q_g_rows = s.Q_g.reshape(-1, width)
     while True:
@@ -308,52 +305,20 @@ def _model(X: np.ndarray, y: np.ndarray, cfg: SvmConfig, fit: _Fit) -> SvmModel:
         C=cfg.C,
         n_iter=fit.n_iter,
         kkt_gap=fit.kkt_gap,
-        alpha=fit.alpha,
     )
 
 
-def train(
-    X: np.ndarray,
-    y: np.ndarray,
-    cfg: SvmConfig = SvmConfig(),
-    *,
-    gram: np.ndarray | None = None,
-    alpha0: np.ndarray | None = None,
-) -> SvmModel:
-    """One fit of the solver in _smo, a batch of one chain with one C.
-
-    The model reports the steps taken, the final KKT gap (above cfg.tol
-    when cfg.max_iter ran out) and the dual solution. gram, when given, is
-    the kernel matrix of X with itself under cfg, computed by the caller.
-    alpha0, when given, is a feasible start (0 <= alpha0 <= C,
-    y @ alpha0 = 0), e.g. the solution at a smaller C; the default starts
-    from zeros.
-    """
+def train(X: np.ndarray, y: np.ndarray, cfg: SvmConfig = SvmConfig()) -> SvmModel:
+    """One fit of the solver in _smo from zeros, a batch of one chain with
+    one C. The model reports the steps taken and the final KKT gap (above
+    cfg.tol when cfg.max_iter ran out)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValueError("X must be n x d and y a matching label vector")
     _check_labels(y)
-    n = X.shape[0]
-    if gram is None:
-        K = _kernel_matrix(X, X, cfg.kernel, cfg.gamma)
-    else:
-        K = np.asarray(gram, dtype=np.float64)
-        if K.shape != (n, n):
-            raise ValueError("gram must be the n x n kernel matrix of X")
-        _check_finite(K)
-
-    C = float(cfg.C)
-    if alpha0 is not None:
-        alpha0 = np.asarray(alpha0, dtype=np.float64)
-        if alpha0.shape != (n,):
-            raise ValueError(f"alpha0 must hold one value per row of X, got shape {alpha0.shape}")
-        if not ((alpha0 >= 0.0) & (alpha0 <= C)).all():
-            raise ValueError(f"alpha0 must lie in [0, C] = [0, {C!r}]")
-        if abs(float(y @ alpha0)) > 1e-9 * C * n:
-            raise ValueError("alpha0 must satisfy y @ alpha0 = 0")
-
-    (_, _, fit), = _smo([_Chain(K, y, (C,), alpha0)], cfg.tol, cfg.max_iter)
+    K = _kernel_matrix(X, X, cfg.kernel, cfg.gamma)
+    (_, _, fit), = _smo([_Chain(K, y, (float(cfg.C),))], cfg.tol, cfg.max_iter)
     return _model(X, y, cfg, fit)
 
 

@@ -19,7 +19,8 @@ COHORT_FLAGS = [
     "--n-patients", "12", "--n-samples", "70", "--image-size", "96",
     "--cube-size", "24", "--n-bands", "32", "--seed", "7",
 ]
-PIPE_FLAGS = ["--dp-size", "96", "--rci-size", "64", "--k-dp", "12", "--k-rci", "6"]
+SIZE_FLAGS = ["--dp-size", "96", "--rci-size", "64"]
+PIPE_FLAGS = [*SIZE_FLAGS, "--k-dp", "12", "--k-rci", "6"]
 
 # A valid, non-default value of every long flag but --config:
 # (config-file value, command-line text).
@@ -220,6 +221,18 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "data error" in err[0]
 
+    def test_binary_cube_larger_than_its_file_is_a_one_line_data_error(self, tmp_path, capsys):
+        cohort = synth.generate(synth.SynthSpec(
+            n_patients=3, n_samples=6, dp_size=32, rci_size=8, n_bands=32, seed=1), tmp_path)
+        cohort.samples[0].rci_path.write_bytes(
+            b"ramancube binary 1\n100000 100000 4\n400 500 600 700\n" + bytes(24))
+        assert cli.main([
+            "cv", "--modality", "median-spectrum", "--manifest",
+            str(tmp_path / synth.MANIFEST_NAME), "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "more than the file holds" in err[0]
+
     @pytest.mark.parametrize("seed", ["x", 1.5, False])
     def test_manifest_seed_that_is_not_an_integer_is_a_data_error(
         self, tmp_path, capsys, no_cubes, seed
@@ -294,7 +307,7 @@ class TestPerSampleCommands:
         out = tmp_path / "prep"
         assert cli.main([
             "preprocess", "--manifest", str(small_path), "--out", str(out),
-            *PIPE_FLAGS,
+            *SIZE_FLAGS,
         ]) == 0
         for record in small.samples:
             assert (out / f"{record.sample_id}_dp.pgm").is_file()
@@ -330,7 +343,7 @@ class TestDictionaryCommands:
         assert cli.main([
             "encode", "--manifest", manifest, "--task", "nc-c",
             "--modality", "fused", "--dp-dict", str(dp), "--rci-dict", str(rci),
-            "--out", str(out), *PIPE_FLAGS,
+            "--out", str(out), *SIZE_FLAGS,
         ]) == 0
         rows = read_rows(out)
         assert rows[0] == ["sample_id", "patient_id", "label", "y"] + [
@@ -373,7 +386,7 @@ class TestDictionaryCommands:
         assert cli.main([
             "encode", "--manifest", manifest, "--task", "nc-c",
             "--modality", "fused", "--dp-dict", str(dp), "--rci-dict", str(rci),
-            "--out", str(out), *PIPE_FLAGS,
+            "--out", str(out), *SIZE_FLAGS,
         ]) == 0
         config = experiments.PipelineConfig(dp_size=96, rci_size=64, k_dp=12, k_rci=6)
         desc = experiments.extract_cohort(dataio.load_manifest(manifest), "nc-c", config)
@@ -414,11 +427,12 @@ class TestDictionaryCommands:
         self, manifest, dictionaries, monkeypatch, tmp_path, command, modality
     ):
         dicts = dict(zip(("dp", "rci"), dictionaries))
-        extra = [f"--{modality}-dict", str(dicts[modality])] if command == "encode" else []
+        extra = ([f"--{modality}-dict", str(dicts[modality]), *SIZE_FLAGS] if command == "encode"
+                 else PIPE_FLAGS)
         work = count_route_work(monkeypatch)
         assert cli.main([
             command, "--manifest", manifest, "--task", "nc-c", "--modality", modality,
-            "--out", str(tmp_path / "out"), *extra, *PIPE_FLAGS,
+            "--out", str(tmp_path / "out"), *extra,
         ]) == 0
         size, k = (96, 12) if modality == "dp" else (64, 6)
         assert work["extract"] == [(size, size)] * 70
@@ -609,16 +623,18 @@ class TestConfigValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "finite" in err[0]
 
-    @pytest.mark.parametrize("doc", [
-        {"k-dp": 0}, {"folds": 0}, {"rci-size": -1}, {"reference-fraction": 1.5},
-        {"n-repeats": 0}, {"lv-max": 0}, {"jobs": 0}, {"jobs": -1}, {"pretreatments": []},
+    @pytest.mark.parametrize("command, doc", [
+        ("cv", {"k-dp": 0}), ("cv", {"folds": 0}), ("cv", {"rci-size": -1}),
+        ("cv", {"reference-fraction": 1.5}), ("pls-select", {"n-repeats": 0}),
+        ("pls-select", {"lv-max": 0}), ("pls-select", {"jobs": 0}), ("pls-select", {"jobs": -1}),
+        ("pls-select", {"pretreatments": []}),
     ])
     def test_bad_count_or_fraction_in_config_fails_before_any_cube_is_loaded(
-        self, manifest, tmp_path, no_cubes, capsys, doc
+        self, manifest, tmp_path, no_cubes, capsys, command, doc
     ):
         cfg = self.write(tmp_path, doc)
         assert cli.main([
-            "pls-select", "--manifest", manifest, "--config", cfg, "--out", str(tmp_path / "x"),
+            command, "--manifest", manifest, "--config", cfg, "--out", str(tmp_path / "x"),
         ]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "is not valid for" in err[0]
@@ -663,6 +679,50 @@ class TestConfigValidation:
         from_config, from_flags, defaults = resolved
         assert from_config == from_flags
         assert all(from_config[k] != defaults[k] for k in defaults if k not in ("func", "command"))
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("argv", [
+        ["cv", "--modality", "median-spectrum"], ["cv", "--modality", "dp"], ["grid"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_cross_validation_with_one_fold_fails_before_any_cube_is_loaded(
+        self, manifest, tmp_path, no_cubes, capsys, argv, source
+    ):
+        folds = ["--folds", "1"] if source == "flag" else ["--config",
+                                                           self.write(tmp_path, {"folds": 1})]
+        out = tmp_path / "x"
+        assert cli.main([*argv, "--manifest", manifest, "--out", str(out), *folds]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--folds" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        *[("pls-select", flag) for flag in (
+            "dp-size", "rci-size", "k-dp", "k-rci", "folds", "reference-fraction")],
+        *[(command, flag) for command in ("preprocess", "encode")
+          for flag in ("k-dp", "k-rci", "folds", "reference-fraction", "seed")],
+        ("median-spectrum", "seed"), ("ttest", "seed"), ("report", "seed"),
+    ])
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(
+        self, manifest, dictionaries, tmp_path, no_cubes, capsys, command, flag
+    ):
+        (tmp_path / "a.csv").write_text("1\n2\n4\n")
+        (tmp_path / "b.csv").write_text("2\n2\n5\n")
+        summary = tmp_path / "summary.csv"
+        summary.write_text(",".join(cli.SUMMARY_HEADER) + "\nnc-c,dp,1,0.5,0.5,0.5\n")
+        operands = {
+            "ttest": ["--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")],
+            "report": ["--inputs", str(summary)],
+        }.get(command, ["--manifest", manifest])
+        if command == "encode":
+            dp, rci = dictionaries
+            operands += ["--dp-dict", str(dp), "--rci-dict", str(rci)]
+        out = tmp_path / "out" / "x.csv"
+        assert cli.main([
+            command, *operands, "--out", str(out), f"--{flag}", FLAG_VALUES[flag][1],
+        ]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"unrecognized arguments: --{flag}" in err[0]
+        assert not out.parent.exists()
 
     def test_one_fold_still_trains(self, manifest, tmp_path):
         assert cli.main([

@@ -207,6 +207,12 @@ class TestCube:
         with pytest.raises(TruncatedData):
             dataio.load_cube(path)
 
+    def test_binary_payload_larger_than_the_file_rejected_before_it_is_read(self, tmp_path):
+        path = tmp_path / "c.cube"
+        path.write_bytes(b"ramancube binary 1\n100000 100000 4\n400 500 600 700\n" + bytes(24))
+        with pytest.raises(TruncatedData, match="more than the file holds"):
+            dataio.load_cube(path)
+
     @staticmethod
     def text_cube(tmp_path, dims=b"2 1 3", axis=b"400.0 500.0 600.0", rows=(b"1,2,3", b"4,5,6")):
         path = tmp_path / "c.cube"

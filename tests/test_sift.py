@@ -350,7 +350,7 @@ class TestGolden:
     """extract() output frozen for three fixed images.
 
     tests/data/sift_golden.npz was written by the per-keypoint extractor
-    that preceded the per-level batched one, with PipelineConfig().sift
+    that preceded the per-level batched one, with experiments.SIFT_PARAMS
     (contrast 0.02, first octave upsampled). Its images are:
 
     * dp: ``prepare_dp`` at 128 px of the first sample's pathology image

@@ -163,6 +163,16 @@ def assert_same_fit(fit, expected):
     assert (fit.n_iter, fit.kkt_gap, fit.bias) == (n_iter, gap, bias)
 
 
+def assert_same_model(model, X, y, expected):
+    """model is the one the fit expected = (alpha, n_iter, kkt_gap, bias)
+    makes from rows X labelled y."""
+    alpha, n_iter, gap, bias = expected
+    kept = alpha > 1e-12
+    assert model.dual_coef.tobytes() == (alpha * y)[kept].tobytes()
+    assert np.array_equal(model.support_vectors, X[kept])
+    assert (model.n_iter, model.kkt_gap, model.bias) == (n_iter, gap, bias)
+
+
 def record_fits(monkeypatch) -> dict:
     """Patch svm._smo to also keep every fit it yields, by (batch, chain, C
     index)."""
@@ -277,84 +287,49 @@ class TestSolverReport:
     def test_report_stays_out_of_the_saved_model(self, tmp_path):
         X, y = tiny_dataset()
         model = svm.calibrate(svm.train(X, y, svm.SvmConfig(C=10.0)), X, y)
-        assert model.n_iter is not None and model.alpha is not None
-        assert not {"n_iter", "kkt_gap", "alpha"} & set(model.to_payload())
+        assert model.n_iter is not None and model.kkt_gap is not None
+        assert not {"n_iter", "kkt_gap"} & set(model.to_payload())
         path = tmp_path / "clf.json"
         dataio.save_model(model, path)
         loaded = dataio.load_model(path)
-        assert loaded.n_iter is None and loaded.kkt_gap is None and loaded.alpha is None
+        assert loaded.n_iter is None and loaded.kkt_gap is None
 
-    def test_alpha_is_the_full_dual_solution(self):
+    def test_model_keeps_the_rows_of_the_full_dual_solution_above_zero(self):
         X, y = tiny_dataset()
-        model = svm.train(X, y, svm.SvmConfig(C=10.0, kernel="rbf", gamma=1.0))
-        kept = model.alpha > 1e-12
-        assert model.alpha.shape == y.shape
-        assert np.array_equal(model.dual_coef, (model.alpha * y)[kept])
+        cfg = svm.SvmConfig(C=10.0, kernel="rbf", gamma=1.0)
+        K = svm._kernel_matrix(X, X, cfg.kernel, cfg.gamma)
+        (_, _, fit), = svm._smo([svm._Chain(K, y, (cfg.C,))], cfg.tol, cfg.max_iter)
+        model = svm.train(X, y, cfg)
+        kept = fit.alpha > 1e-12
+        assert fit.alpha.shape == y.shape
+        assert np.array_equal(model.dual_coef, (fit.alpha * y)[kept])
         assert np.array_equal(model.support_vectors, X[kept])
-
-
-class TestPrecomputedGram:
-    @pytest.mark.parametrize("kernel", svm.KERNELS)
-    def test_gram_of_x_gives_the_same_model(self, kernel):
-        X, y = tiny_dataset(2)
-        cfg = svm.SvmConfig(C=4.0, kernel=kernel, gamma=0.5)
-        gram = svm._kernel_matrix(X, X, kernel, cfg.gamma)
-        plain, shared = svm.train(X, y, cfg), svm.train(X, y, cfg, gram=gram)
-        assert np.array_equal(plain.dual_coef, shared.dual_coef)
-        assert plain.bias == shared.bias
-
-    def test_non_finite_or_misshapen_gram_rejected(self):
-        X, y = tiny_dataset()
-        gram = svm._kernel_matrix(X, X, "linear", 1.0)
-        gram[3, 4] = np.nan
-        with pytest.raises(DegenerateKernel):
-            svm.train(X, y, svm.SvmConfig(), gram=gram)
-        with pytest.raises(ValueError):
-            svm.train(X, y, svm.SvmConfig(), gram=np.eye(len(y) - 1))
+        assert (model.bias, model.n_iter, model.kkt_gap) == (fit.bias, fit.n_iter, fit.kkt_gap)
 
 
 class TestAlphaSeed:
+    """The start of each fit along a chain's C axis."""
+
     def test_zero_start_gives_the_cold_fit(self):
+        # A fit capped at zero steps leaves alpha at zeros, so the next C
+        # starts from a zero alpha.
         X, y = tiny_dataset()
-        cfg = svm.SvmConfig(C=10.0, kernel="rbf", gamma=1.0)
-        cold, zero = svm.train(X, y, cfg), svm.train(X, y, cfg, alpha0=np.zeros(len(y)))
-        for name in ("support_vectors", "dual_coef", "alpha"):
-            assert np.array_equal(getattr(cold, name), getattr(zero, name)), name
-        assert (cold.bias, cold.n_iter, cold.kkt_gap) == (zero.bias, zero.n_iter, zero.kkt_gap)
+        K = svm._kernel_matrix(X, X, "rbf", 1.0)
+        fits = [fit for _, _, fit in svm._smo([svm._Chain(K, y, (1.0, 10.0))], 1e-3, 0)]
+        assert not fits[0].alpha.any()
+        assert_same_fit(fits[1], scalar_smo(K, y, 10.0, 1e-3, 0))
 
     @pytest.mark.parametrize("kernel, gamma", [("linear", 1.0), ("rbf", 2.0**-3)])
     def test_seeded_chain_along_c_converges_in_fewer_steps(self, kernel, gamma):
         gold = np.load(GOLDEN)
         X, y = gold["X"], gold["y"]
-        cold_steps = seeded_steps = 0
-        model = None
-        for c in svm.C_GRID:
-            cfg = svm.SvmConfig(C=c, kernel=kernel, gamma=gamma)
-            cold_steps += svm.train(X, y, cfg).n_iter
-            model = svm.train(X, y, cfg, alpha0=None if model is None else model.alpha)
-            assert model.kkt_gap <= cfg.tol, cfg
-            seeded_steps += model.n_iter
-        assert seeded_steps < cold_steps
-
-    @pytest.mark.parametrize("value, message", [
-        (-1e-12, r"\[0, C\]"), (np.nextafter(2.0, 3.0), r"\[0, C\]"), (np.nan, r"\[0, C\]"),
-        (1.0 + 2e-9 * 2.0 * 60, "y @ alpha0"),
-    ], ids=["negative", "above-c", "nan", "unbalanced"])
-    def test_infeasible_start_rejected(self, value, message):
-        X, y = tiny_dataset()  # 30 rows per class, so a constant alpha is balanced
-        alpha0 = np.full(len(y), 1.0)
-        alpha0[int(np.argmax(y > 0))] = value
-        with pytest.raises(ValueError, match=message):
-            svm.train(X, y, svm.SvmConfig(C=2.0), alpha0=alpha0)
-
-    def test_start_within_the_balance_slack_is_accepted_and_a_short_one_is_not(self):
-        X, y = tiny_dataset()
-        cfg = svm.SvmConfig(C=2.0)
-        alpha0 = np.full(len(y), 1.0)
-        alpha0[int(np.argmax(y > 0))] += 0.5e-9 * cfg.C * len(y)
-        assert svm.train(X, y, cfg, alpha0=alpha0).kkt_gap <= cfg.tol
-        with pytest.raises(ValueError, match="one value per row"):
-            svm.train(X, y, cfg, alpha0=alpha0[1:])
+        cfg = svm.SvmConfig(kernel=kernel, gamma=gamma)
+        K = svm._kernel_matrix(X, X, kernel, gamma)
+        seeded = [fit for _, _, fit in svm._smo([svm._Chain(K, y, svm.C_GRID)],
+                                                 cfg.tol, cfg.max_iter)]
+        cold = svm._smo([svm._Chain(K, y, (c,)) for c in svm.C_GRID], cfg.tol, cfg.max_iter)
+        assert all(fit.kkt_gap <= cfg.tol for fit in seeded)
+        assert sum(fit.n_iter for fit in seeded) < sum(fit.n_iter for _, _, fit in cold)
 
 
 class TestOracle:
@@ -424,11 +399,13 @@ class TestBatchedSolver:
         kernel, gamma, problems, tol, max_iter = batch
         X, y, Cs = problems[0]
         K = svm._kernel_matrix(X, X, kernel, gamma)
-        start = scalar_smo(K, y, min(Cs), tol, max_iter)[0]
         cfg = svm.SvmConfig(C=max(Cs), kernel=kernel, gamma=gamma, tol=tol, max_iter=max_iter)
-        for alpha0 in (None, start):
-            model = svm.train(X, y, cfg, alpha0=alpha0)
-            assert_same_fit(model, scalar_smo(K, y, cfg.C, tol, max_iter, alpha0))
+        assert_same_model(svm.train(X, y, cfg), X, y, scalar_smo(K, y, cfg.C, tol, max_iter))
+        # A seeded start: the fit at max(Cs) from the one at min(Cs).
+        axis = (min(Cs), cfg.C)
+        fits = [fit for _, _, fit in svm._smo([svm._Chain(K, y, axis)], tol, max_iter)]
+        for fit, expected in zip(fits, scalar_chain(K, y, axis, tol, max_iter), strict=True):
+            assert_same_fit(fit, expected)
 
 
 class TestDecisionPredict:
@@ -635,25 +612,30 @@ class TestGridSearch:
     def test_parallel_matches_serial(self):
         # Two feature sets and uneven folds: each batch pads its chains to
         # the largest training fold, and jobs=2 solves the sets in two
-        # processes. Every row must equal fits made one at a time by train.
+        # processes. Every row must equal the fits of scalar_chain, the
+        # one-fit-at-a-time oracle, along the C axis with its drop.
         X, y = tiny_dataset(4)
         sets = {("f",): X, ("g",): np.hstack([X, X[:, :1] ** 2])}
         idx = np.arange(len(y))
         folds = [(np.setdiff1d(idx, test), test) for test in np.split(idx, [12, 32])]
-        kwargs = dict(c_grid=(0.5, 8.0, 2.0), gamma_grid=(0.5, 2.0))
+        c_grid = (0.5, 8.0, 2.0)
+        kwargs = dict(c_grid=c_grid, gamma_grid=(0.5, 2.0))
         serial = svm.grid_search(sets, y, folds, **kwargs)
         parallel = svm.grid_search(sets, y, folds, jobs=2, **kwargs)
         assert serial.rows == parallel.rows
         assert serial.best == parallel.best
-        models = {}
+        chains = {}
         for key, kernel, c, gamma, accs, _ in serial.rows:
             cfg = svm.SvmConfig(C=c, kernel=kernel, gamma=1.0 if gamma is None else gamma)
             expected = []
             for n, (tr, te) in enumerate(folds):
-                prev = models.get((key, kernel, gamma, n))
-                alpha0 = prev.alpha if prev is not None and c >= prev.C else None
-                model = models[key, kernel, gamma, n] = svm.train(
-                    sets[key][tr], y[tr], cfg, alpha0=alpha0)
+                block = sets[key][tr]
+                if (key, kernel, gamma, n) not in chains:
+                    K = svm._kernel_matrix(block, block, kernel, cfg.gamma)
+                    chains[key, kernel, gamma, n] = scalar_chain(
+                        K, y[tr], c_grid, cfg.tol, cfg.max_iter)
+                fit = svm._Fit(*chains[key, kernel, gamma, n][c_grid.index(c)])
+                model = svm._model(block, y[tr], cfg, fit)
                 expected.append(float((svm.predict(model, sets[key][te]) == y[te]).mean()))
             assert accs == tuple(expected), (key, kernel, c, gamma)
 
@@ -710,8 +692,9 @@ class TestGridSearch:
         X, y = tiny_dataset()
         folds = two_folds(len(y))
         for tr, _ in folds:
-            model = svm.train(X[tr], y[tr], svm.SvmConfig(C=29.0, kernel="linear"))
-            assert (model.alpha == 29.0).any()
+            K = svm._kernel_matrix(X[tr], X[tr], "linear", 1.0)
+            (_, _, fit), = svm._smo([svm._Chain(K, y[tr], (29.0,))], 1e-3, 200_000)
+            assert (fit.alpha == 29.0).any()
         result = svm.grid_search({("a",): X}, y, folds, c_grid=(29.0, 15.0), kernels=("linear",))
         cfg = svm.SvmConfig(C=15.0, kernel="linear")
         cold = tuple(
