@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from dataclasses import astuple, fields, replace
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,7 @@ FLAGS = {
     "rci-size": dict(type=_positive_int, default=_PIPELINE.rci_size),
     "k-dp": dict(type=_positive_int, default=_PIPELINE.k_dp),
     "k-rci": dict(type=_positive_int, default=_PIPELINE.k_rci),
-    "folds": dict(type=_positive_int, default=_PIPELINE.folds),
+    "folds": dict(type=_fold_count, default=_PIPELINE.folds),
     "reference-fraction": dict(type=_open_fraction, default=_PIPELINE.reference_fraction),
     "k": dict(type=_positive_int, help="dictionary size (default: --k-dp or --k-rci)"),
     "dp-dict": dict(help="DP dictionary file"),
@@ -129,12 +130,10 @@ FLAGS = {
     "b": dict(help="CSV whose last column holds the second sample"),
     "inputs": dict(type=_list(str), help="comma list of summary.csv files"),
 }
-# The PipelineConfig fields, by the handlers that read them: image sizes
-# (every SIFT extraction), dictionary sizes and the reference/fold split.
+# The PipelineConfig fields but --folds, which only cross-validation reads:
+# image sizes (every SIFT extraction), dictionary sizes and the reference pool.
 SIZE_FLAGS = ("dp-size", "rci-size")
-DICT_FLAGS = ("k-dp", "k-rci")
-SPLIT_FLAGS = ("folds", "reference-fraction")
-PIPELINE_FLAGS = (*SIZE_FLAGS, *DICT_FLAGS, *SPLIT_FLAGS)
+REFERENCE_FLAGS = (*SIZE_FLAGS, "k-dp", "k-rci", "reference-fraction")
 SVM_FLAGS = ("kernel", "c", "gamma")
 PLS_FLAGS = ("pretreatment", "n-lv")
 
@@ -204,16 +203,28 @@ def _make_dir(path: Path) -> Path:
 
 
 def _out_path(args, what: str) -> str:
-    """The required --out value, with its parent directory made; checked
+    """The required --out file, with its parent directory made; checked
     before a command does any work."""
     if not args.out:
         raise _UsageError(f"an --out {what} is required")
+    if Path(args.out).is_dir():
+        raise DataError(f"the --out {what} {args.out} is a directory")
     _make_dir(Path(args.out).parent)
     return args.out
 
 
 def _out_dir(args) -> Path:
-    return _make_dir(Path(_out_path(args, "location")))
+    if not args.out:
+        raise _UsageError("an --out location is required")
+    return _make_dir(Path(args.out))
+
+
+def _check_fold_plans(manifest, args, cfg, seeds) -> None:
+    """Deal every seed's folds from the task's records alone, so a cohort
+    too small for them fails before any cube is loaded."""
+    task = replace(manifest, samples=tuple(experiments.task_records(manifest, args.task)[0]))
+    for seed in seeds:
+        evaluation.plan_folds(task, cfg.folds, cfg.reference_fraction, seed)
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -273,21 +284,15 @@ def _cmd_build_dict(args) -> int:
     k = args.k if args.k is not None else (cfg.k_dp if modality == "dp" else cfg.k_rci)
 
     records, _ = experiments.task_records(manifest, args.task)
-    sub = dataio.CohortManifest(tuple(records), manifest.seed)
-    plan = evaluation.plan_folds(
-        sub, k=cfg.folds, reference_fraction=cfg.reference_fraction, seed=args.seed
-    )
-    reference = set(plan.reference_patients)
-    ref_manifest = dataio.CohortManifest(
-        tuple(r for r in records if r.patient_id in reference), manifest.seed
-    )
-    desc = experiments.extract_cohort(ref_manifest, args.task, cfg, routes=(modality,))
+    keep = experiments.is_reference(records, cfg.reference_fraction, args.seed)
+    reference = replace(manifest, samples=tuple(compress(records, keep)))
+    desc = experiments.extract_cohort(reference, args.task, cfg, routes=(modality,))
     pooled = desc.pool(modality, range(len(desc.y)))
     dictionary = bovw.kmeans(pooled, k, args.seed, modality=modality)
     dataio.save_model(dictionary, out)
     print(
         f"built {modality} dictionary (k={k}) from {len(pooled)} descriptors "
-        f"of {len(reference)} reference patients -> {out}"
+        f"of {len(reference.patients())} reference patients -> {out}"
     )
     return 0
 
@@ -362,26 +367,23 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cv_once(desc, modality, seed, svm_cfg, pre, n_lv):
-    features = experiments.partition_features(desc, seed)
-    if modality == "median-spectrum":
-        return experiments.run_pls_cv(features, pre, n_lv)
-    return experiments.run_bovw_cv(features, modality, svm_cfg)
-
-
 def _cmd_cv(args) -> int:
     manifest = _load_task_manifest(args)
     task, modality, n_sets = args.task, args.modality, args.n_reference_sets
     cfg = _pipeline_config(args)
+    seeds = ([args.seed] if n_sets == 1
+             else [derive_seed(args.seed, "reference-set", r) for r in range(n_sets)])
+    _check_fold_plans(manifest, args, cfg, seeds)
     out = _out_dir(args)
     svm_cfg = _svm_config(args)
     pre, n_lv = _pls_settings(args)
 
     desc = experiments.extract_cohort(manifest, task, cfg, routes=experiments.ROUTES[modality])
     sens, spec_, aucs = [], [], []
-    for r in range(n_sets):
-        set_seed = args.seed if n_sets == 1 else derive_seed(args.seed, "reference-set", r)
-        report = _cv_once(desc, modality, set_seed, svm_cfg, pre, n_lv)
+    for r, set_seed in enumerate(seeds):
+        features = experiments.partition_features(desc, set_seed)
+        report = (experiments.run_pls_cv(features, pre, n_lv) if modality == "median-spectrum"
+                  else experiments.run_bovw_cv(features, modality, svm_cfg))
         evaluation.write_metrics_csv(report, out / f"metrics_set{r}.csv")
         if r == 0:
             evaluation.write_roc_csv(report.pooled_roc, out / "roc_set0.csv")
@@ -418,6 +420,7 @@ def _cmd_grid(args) -> int:
         [(k_dp, k_rci) for k_dp in args.dp_sizes for k_rci in args.rci_sizes],
         args.c_grid, args.gamma_grid, args.kernels,
     )
+    _check_fold_plans(manifest, args, cfg, [args.seed])
 
     desc = experiments.extract_cohort(manifest, args.task, cfg)
     features = experiments.partition_features(desc, args.seed, build_dictionaries=False)
@@ -568,25 +571,21 @@ def build_parser() -> _Parser:
         ("manifest", "out"))
     add("build-dict", _cmd_build_dict,
         "cluster reference-patient descriptors into a visual dictionary",
-        ("seed", "manifest", "out", "task", "modality", "k", *PIPELINE_FLAGS),
+        ("seed", "manifest", "out", "task", "modality", "k", *REFERENCE_FLAGS),
         modality=dict(choices=experiments.IMAGE_ROUTES, default=None))
     add("encode", _cmd_encode, "encode samples against saved dictionaries",
         ("manifest", "out", "task", "modality", "dp-dict", "rci-dict", *SIZE_FLAGS),
         modality=dict(choices=("dp", "rci", "fused")))
     add("train", _cmd_train, "train one calibrated model on the classification set",
         ("seed", "manifest", "out", "task", "modality", *SVM_FLAGS, *PLS_FLAGS,
-         *PIPELINE_FLAGS))
+         *REFERENCE_FLAGS))
     add("cv", _cmd_cv, "patient-grouped cross-validation with report files",
         ("seed", "manifest", "out", "task", "modality", "n-reference-sets", *SVM_FLAGS,
-         *PLS_FLAGS, *PIPELINE_FLAGS),
-        folds=dict(type=_fold_count))
-    # grid reads neither --k-dp nor --k-rci (--dp-sizes and --rci-sizes give
-    # the sizes it searches), but keeps both so that command lines passing
-    # them still run.
+         *PLS_FLAGS, *REFERENCE_FLAGS, "folds"))
+    # grid searches the dictionary sizes of --dp-sizes/--rci-sizes, not --k-dp/--k-rci.
     add("grid", _cmd_grid, "exhaustive dictionary/kernel/C/gamma accuracy search",
         ("seed", "manifest", "out", "task", "jobs", "dp-sizes", "rci-sizes", "c-grid",
-         "gamma-grid", "kernels", *PIPELINE_FLAGS),
-        folds=dict(type=_fold_count))
+         "gamma-grid", "kernels", *SIZE_FLAGS, "reference-fraction", "folds"))
     add("pls-select", _cmd_pls_select, "repeated-split selection of pretreatment and LV count",
         ("seed", "manifest", "out", "task", "n-repeats", "lv-max", "pretreatments", "jobs"))
     add("ttest", _cmd_ttest, "paired two-tail t-test between two value columns",

@@ -3,6 +3,7 @@ and paired t-tests with a self-contained Student-t distribution."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,42 +21,33 @@ class FoldPlan:
     folds: tuple          # k tuples of patient ids
     reference_patients: tuple
 
-    @property
-    def k(self) -> int:
-        return len(self.folds)
+
+def reference_pool(samples, reference_fraction: float, seed: int = 0) -> tuple:
+    """Seeded patient-level draw: (reference patients, the other patients),
+    each in draw order. Shuffled patients join the reference pool until its
+    sample count reaches round(reference_fraction * len(samples))."""
+    counts = Counter(record.patient_id for record in samples)
+    patients = list(counts)
+    order = [patients[i] for i in rng_for(seed, "fold-plan").permutation(len(patients))]
+    target = int(math.floor(reference_fraction * len(samples) + 0.5))
+    taken = idx = 0
+    while taken < target and idx < len(order):
+        taken += counts[order[idx]]
+        idx += 1
+    return tuple(order[:idx]), tuple(order[idx:])
 
 
 def plan_folds(manifest, k: int = 5, reference_fraction: float = 0.0, seed: int = 0) -> FoldPlan:
-    """Seeded patient-level split into a reference pool plus k folds.
-
-    Shuffled patients feed the reference pool until its sample count reaches
-    round(reference_fraction * total); the rest are dealt largest-first onto
-    the currently smallest fold, so fold sample counts stay approximately
-    balanced without splitting any patient.
-    """
-    patients = manifest.patients()
-    counts = {pid: 0 for pid in patients}
-    for record in manifest.samples:
-        counts[record.patient_id] += 1
-    total = sum(counts.values())
-
-    rng = rng_for(seed, "fold-plan")
-    order = [patients[i] for i in rng.permutation(len(patients))]
-
-    target = int(math.floor(reference_fraction * total + 0.5))
-    reference = []
-    taken = 0
-    idx = 0
-    while taken < target and idx < len(order):
-        reference.append(order[idx])
-        taken += counts[order[idx]]
-        idx += 1
-    remaining = order[idx:]
+    """The reference pool of reference_pool, plus k folds of the patients
+    left over: these are dealt largest-first onto the currently smallest
+    fold, so fold sample counts stay approximately balanced without
+    splitting any patient."""
+    reference, remaining = reference_pool(manifest.samples, reference_fraction, seed)
     if len(remaining) < k:
         raise TooFewPatients(
             f"{len(remaining)} patients left for {k} folds after the reference pool"
         )
-
+    counts = Counter(record.patient_id for record in manifest.samples)
     by_size = sorted(range(len(remaining)), key=lambda i: (-counts[remaining[i]], i))
     folds = [[] for _ in range(k)]
     loads = [0] * k
@@ -63,10 +55,7 @@ def plan_folds(manifest, k: int = 5, reference_fraction: float = 0.0, seed: int 
         dest = loads.index(min(loads))
         folds[dest].append(remaining[i])
         loads[dest] += counts[remaining[i]]
-    return FoldPlan(
-        folds=tuple(tuple(f) for f in folds),
-        reference_patients=tuple(reference),
-    )
+    return FoldPlan(folds=tuple(tuple(f) for f in folds), reference_patients=reference)
 
 
 # --- metrics ---------------------------------------------------------------------

@@ -131,20 +131,26 @@ class CohortDescriptors:
         return np.concatenate([table[i] for i in rows] or [np.zeros((0, 128))])
 
 
+def is_reference(records, reference_fraction: float, seed: int) -> np.ndarray:
+    """Per record, whether its patient is in the seed's reference pool."""
+    reference = set(evaluation.reference_pool(records, reference_fraction, seed)[0])
+    return np.array([r.patient_id in reference for r in records], dtype=bool)
+
+
 @dataclass(frozen=True)
 class CohortFeatures:
-    """One reference/fold split of a CohortDescriptors. Dictionaries come
+    """One seeded reference split of a CohortDescriptors. Dictionaries come
     from the reference rows; the classification rows are encoded."""
 
     descriptors: CohortDescriptors
-    plan: evaluation.FoldPlan
+    seed: int
     histograms: dict    # {route: word-frequency matrix over the classification rows}
 
     @cached_property
     def _is_reference(self) -> np.ndarray:
-        reference = set(self.plan.reference_patients)
-        samples = self.descriptors.manifest.samples
-        return np.array([r.patient_id in reference for r in samples], dtype=bool)
+        return is_reference(
+            self.descriptors.manifest.samples, self.config.reference_fraction, self.seed
+        )
 
     @property
     def reference_rows(self) -> np.ndarray:
@@ -216,17 +222,12 @@ def extract_cohort(
 def partition_features(
     desc: CohortDescriptors, seed: int = 0, build_dictionaries: bool = True
 ) -> CohortFeatures:
-    """The light, partition-dependent stage: draw the reference/fold split,
-    build a dictionary per extracted route from reference patients, encode
-    the rest."""
-    config = desc.config
-    plan = evaluation.plan_folds(
-        desc.manifest, k=config.folds,
-        reference_fraction=config.reference_fraction, seed=seed,
-    )
-    features = CohortFeatures(desc, plan, histograms={})
+    """The light, partition-dependent stage: draw the reference pool, build
+    a dictionary per extracted route from reference patients, encode the
+    rest."""
+    features = CohortFeatures(desc, seed, histograms={})
     if build_dictionaries:
-        k = {"dp": config.k_dp, "rci": config.k_rci}
+        k = {"dp": desc.config.k_dp, "rci": desc.config.k_rci}
         features = replace(features, histograms={
             route: route_histograms(features, route, k[route], seed) for route in desc.routes
         })
@@ -312,13 +313,15 @@ def grid_feature_sets(features: CohortFeatures, dp_sizes, rci_sizes, seed: int) 
 
 
 def plan_fold_indices(features: CohortFeatures):
-    """(train, test) index pairs over the classification rows, one per fold:
-    test is the fold's patients' rows, train the rows of the other folds'
-    patients, so a row whose patient is in no fold is on neither side."""
+    """(train, test) index pairs over the classification rows, one per fold
+    of config.folds dealt from the patients outside the reference pool:
+    test is the fold's patients' rows, train all other classification rows."""
+    config = features.config
+    plan = evaluation.plan_folds(features.descriptors.manifest, config.folds,
+                                 config.reference_fraction, features.seed)
     pids = np.asarray(features.patient_ids)
-    in_fold = [np.isin(pids, fold) for fold in features.plan.folds]
-    in_any = np.logical_or.reduce(in_fold)
-    return [(np.flatnonzero(in_any & ~test), np.flatnonzero(test)) for test in in_fold]
+    return [(np.flatnonzero(~test), np.flatnonzero(test))
+            for test in (np.isin(pids, fold) for fold in plan.folds)]
 
 
 # --- multi-seed benchmark ----------------------------------------------------------

@@ -14,6 +14,7 @@ from .errors import (
     DimMismatch,
     EmptyMask,
     InputTooSmall,
+    NumericalError,
     TooFewPixels,
 )
 
@@ -58,8 +59,11 @@ def pca_scores(cube: HyperspectralCube, n_components: int) -> PcaResult:
         raise TooFewPixels(
             f"need at least {n_components} masked-in pixels, got {flat.shape[0]}"
         )
-    centred = flat - flat.mean(axis=0)
-    scatter = centred.T @ centred
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = flat - flat.mean(axis=0)
+        scatter = centred.T @ centred
+    if not np.isfinite(scatter).all():
+        raise NumericalError("the band scatter of the masked-in pixels is not finite in float64")
     eigenvalues, vectors = np.linalg.eigh(scatter)
     pivot = np.argmax(np.abs(vectors), axis=0)
     keep = np.lexsort((pivot, -eigenvalues))[:n_components]

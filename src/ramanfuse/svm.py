@@ -41,8 +41,9 @@ class SvmConfig:
 
 def _sq_distances(a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of a and b, given
-    ab = a @ b.T."""
-    return (a**2).sum(axis=1)[:, None] - 2.0 * ab + (b**2).sum(axis=1)[None, :]
+    ab = a @ b.T; non-finite inputs give non-finite distances, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (a**2).sum(axis=1)[:, None] - 2.0 * ab + (b**2).sum(axis=1)[None, :]
 
 
 def _rbf(d2: np.ndarray, gamma: float) -> np.ndarray:

@@ -456,14 +456,14 @@ def test_10_cli_runs_are_byte_identical_for_a_fixed_seed(tmp_path):
         "--image-size", "96", "--cube-size", "24", "--n-bands", "32", "--seed", "7",
     ]) == 0
     manifest = str(cohort / "manifest.txt")
-    pipe = ["--dp-size", "96", "--rci-size", "64", "--k-dp", "12", "--k-rci", "6"]
+    sizes = ["--dp-size", "96", "--rci-size", "64"]
 
     cv_dirs = []
     for name in ("cv_a", "cv_b"):
         out = tmp_path / name
         assert cli.main([
             "cv", "--manifest", manifest, "--task", "nc-c", "--modality", "dp",
-            "--out", str(out), "--seed", "3", *pipe,
+            "--out", str(out), "--seed", "3", *sizes, "--k-dp", "12", "--k-rci", "6",
         ]) == 0
         cv_dirs.append(out)
     cv_identical = _dir_bytes(cv_dirs[0]) == _dir_bytes(cv_dirs[1])
@@ -475,7 +475,7 @@ def test_10_cli_runs_are_byte_identical_for_a_fixed_seed(tmp_path):
             "grid", "--manifest", manifest, "--task", "nc-c", "--out", str(out),
             "--seed", "0", "--jobs", jobs, "--dp-sizes", "8", "--rci-sizes", "4",
             "--c-grid", "1.0", "--gamma-grid", "0.5", "--kernels", "linear,rbf",
-            *pipe,
+            *sizes,
         ]) == 0
         grid_files.append(out.read_bytes())
     grid_identical = grid_files[0] == grid_files[1]

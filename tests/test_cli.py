@@ -70,6 +70,17 @@ def manifest(cohort_dir):
 
 
 @pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    """Six patients: the reference pool leaves three, too few for five folds."""
+    out = tmp_path_factory.mktemp("small")
+    assert cli.main([
+        "synth", "--out", str(out), "--n-patients", "6", "--n-samples", "12",
+        "--image-size", "48", "--cube-size", "12", "--n-bands", "32", "--seed", "1",
+    ]) == 0
+    return str(out / "manifest.txt")
+
+
+@pytest.fixture(scope="module")
 def dictionaries(manifest, tmp_path_factory):
     out = tmp_path_factory.mktemp("dicts")
     dp, rci = out / "dp.json", out / "rci.json"
@@ -188,7 +199,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("n_bands, shift", [(24, 0.0), (32, 1.0)], ids=["bands", "axis"])
     @pytest.mark.parametrize("argv", [
-        ["cv", "--modality", "median-spectrum"], ["pls-select"],
+        ["cv", "--modality", "median-spectrum", "--folds", "2"], ["pls-select"],
     ], ids=["cv", "pls-select"])
     def test_cubes_with_another_wavenumber_axis_are_a_data_error(
         self, tmp_path, capsys, argv, n_bands, shift
@@ -227,11 +238,27 @@ class TestExitCodes:
         cohort.samples[0].rci_path.write_bytes(
             b"ramancube binary 1\n100000 100000 4\n400 500 600 700\n" + bytes(24))
         assert cli.main([
-            "cv", "--modality", "median-spectrum", "--manifest",
+            "cv", "--modality", "median-spectrum", "--folds", "2", "--manifest",
             str(tmp_path / synth.MANIFEST_NAME), "--out", str(tmp_path / "out"),
         ]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "more than the file holds" in err[0]
+
+    def test_cube_whose_scatter_overflows_is_a_one_line_numerical_failure(
+        self, tmp_path, capsys
+    ):
+        cohort = synth.generate(synth.SynthSpec(
+            n_patients=3, n_samples=6, dp_size=32, rci_size=8, n_bands=32, seed=1), tmp_path)
+        path = cohort.samples[0].rci_path
+        cube = dataio.load_cube(path)
+        dataio.save_cube(dataio.HyperspectralCube(
+            cube.wavenumbers, cube.data / np.abs(cube.data).max() * 1e300), path)
+        assert cli.main([
+            "cv", "--modality", "median-spectrum", "--folds", "2", "--manifest",
+            str(tmp_path / synth.MANIFEST_NAME), "--out", str(tmp_path / "out"),
+        ]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "band scatter" in err[0]
 
     @pytest.mark.parametrize("seed", ["x", 1.5, False])
     def test_manifest_seed_that_is_not_an_integer_is_a_data_error(
@@ -695,7 +722,38 @@ class TestConfigValidation:
         assert len(err) == 1 and "--folds" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("argv", [
+        ["cv", "--modality", "median-spectrum"], ["cv", "--modality", "dp"], ["grid"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_cohort_too_small_for_the_folds_fails_before_any_cube_is_loaded(
+        self, small_manifest, tmp_path, no_cubes, capsys, argv, source
+    ):
+        folds = ["--folds", "5"] if source == "flag" else ["--config",
+                                                           self.write(tmp_path, {"folds": 5})]
+        out = tmp_path / "x"
+        assert cli.main([*argv, "--manifest", small_manifest, "--out", str(out), *folds]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["ramanfuse: data error: 3 patients left for 5 folds after the "
+                       "reference pool"]
+        assert not out.exists()
+
+    def test_every_reference_set_is_checked_for_its_folds_before_any_cube_is_loaded(
+        self, manifest, tmp_path, no_cubes, capsys
+    ):
+        # Nine patients are left for folds under the first of the ten
+        # reference-set seeds, eight under the second.
+        out = tmp_path / "x"
+        assert cli.main([
+            "cv", "--manifest", manifest, "--out", str(out), "--n-reference-sets", "10",
+            "--folds", "9",
+        ]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "8 patients left for 9 folds" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [
+        ("build-dict", "folds"), ("train", "folds"), ("grid", "k-dp"), ("grid", "k-rci"),
         *[("pls-select", flag) for flag in (
             "dp-size", "rci-size", "k-dp", "k-rci", "folds", "reference-fraction")],
         *[(command, flag) for command in ("preprocess", "encode")
@@ -713,6 +771,8 @@ class TestConfigValidation:
             "ttest": ["--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")],
             "report": ["--inputs", str(summary)],
         }.get(command, ["--manifest", manifest])
+        if command == "build-dict":
+            operands += ["--modality", "dp"]
         if command == "encode":
             dp, rci = dictionaries
             operands += ["--dp-dict", str(dp), "--rci-dict", str(rci)]
@@ -724,11 +784,16 @@ class TestConfigValidation:
         assert len(err) == 1 and f"unrecognized arguments: --{flag}" in err[0]
         assert not out.parent.exists()
 
-    def test_one_fold_still_trains(self, manifest, tmp_path):
-        assert cli.main([
-            "train", "--manifest", manifest, "--modality", "median-spectrum",
-            "--folds", "1", "--out", str(tmp_path / "pls.json"),
-        ]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["train", "--modality", "median-spectrum"],
+        ["build-dict", "--modality", "dp", "--k", "4", "--dp-size", "48"],
+    ], ids=lambda argv: argv[0])
+    def test_commands_without_folds_run_on_a_cohort_too_small_for_five(
+        self, small_manifest, tmp_path, argv
+    ):
+        out = tmp_path / "model.json"
+        assert cli.main([*argv, "--manifest", small_manifest, "--out", str(out)]) == 0
+        assert out.is_file()
 
     def test_keys_of_other_subcommands_are_ignored(self, tmp_path):
         cfg = self.write(tmp_path, {"task": "bogus", "modality": 7})
@@ -741,7 +806,7 @@ class TestConfigValidation:
 class TestOutParent:
     @pytest.mark.parametrize("argv", [
         ["pls-select", "--n-repeats", "3", "--lv-max", "2"],
-        ["train", "--modality", "median-spectrum", "--folds", "2"],
+        ["train", "--modality", "median-spectrum"],
     ], ids=lambda argv: argv[0])
     def test_missing_parent_directory_is_created(self, manifest, tmp_path, argv):
         out = tmp_path / "new" / "dir" / "out.file"
@@ -774,6 +839,20 @@ class TestOutParent:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(blocker) in err[0]
 
+    @pytest.mark.parametrize("argv, what", [
+        (["build-dict", "--modality", "dp"], "model file"), (["encode"], "CSV file"),
+        (["train"], "model file"), (["grid"], "CSV file"), (["pls-select"], "CSV file"),
+        (["ttest", "--a", "a.csv", "--b", "b.csv"], "CSV file"),
+        (["report", "--inputs", "s.csv"], "CSV file"),
+    ], ids=["build-dict", "encode", "train", "grid", "pls-select", "ttest", "report"])
+    def test_out_file_that_is_a_directory_is_a_one_line_data_error(
+        self, manifest, tmp_path, no_cubes, capsys, argv, what
+    ):
+        cohort = [] if argv[0] in ("ttest", "report") else ["--manifest", manifest]
+        assert cli.main([*argv, *cohort, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ramanfuse: data error: the --out {what} {tmp_path} is a directory"]
+
 
 class TestGrid:
     def test_jobs_setting_does_not_change_output(self, manifest, tmp_path):
@@ -785,7 +864,7 @@ class TestGrid:
                 "--out", str(out), "--seed", "0", "--jobs", jobs,
                 "--dp-sizes", "8", "--rci-sizes", "4",
                 "--c-grid", "1.0,10.0", "--gamma-grid", "0.5",
-                "--kernels", "linear,rbf", *PIPE_FLAGS,
+                "--kernels", "linear,rbf", *SIZE_FLAGS,
             ]) == 0
             outputs.append(out)
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
@@ -805,7 +884,7 @@ class TestGrid:
         assert cli.main([
             "grid", "--manifest", manifest, "--task", "nc-c", "--out", str(tmp_path / "g.csv"),
             "--dp-sizes", "8,10", "--rci-sizes", "4", "--c-grid", "1.0",
-            "--kernels", "linear", *PIPE_FLAGS,
+            "--kernels", "linear", *SIZE_FLAGS,
         ]) == 0
         assert work["kmeans"] == [("dp", 8), ("dp", 10), ("rci", 4)]
 

@@ -253,6 +253,18 @@ class TestCube:
         with pytest.raises(MalformedFile):
             dataio.load_cube(path)
 
+    @pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+    @corruption_settings
+    @given(data=st.data())
+    def test_corrupted_cube_loads_or_raises_a_data_error(self, tmp_path, binary, data):
+        path = tmp_path / "c.cube"
+        dataio.save_cube(self.make_cube(np.random.default_rng(3)), path, binary=binary)
+        path.write_bytes(data.draw(corrupted(path.read_bytes())))
+        try:
+            dataio.load_cube(path)
+        except DataError:
+            pass
+
     def test_non_monotone_axis_rejected(self):
         with pytest.raises(MalformedFile):
             HyperspectralCube(wavenumbers=[3.0, 2.0, 4.0], data=np.zeros((1, 1, 3)))

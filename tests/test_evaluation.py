@@ -84,6 +84,22 @@ class TestFoldPlan:
         loads = [sum(counts[p] for p in fold) for fold in plan.folds]
         assert max(loads) - min(loads) <= max(counts.values())
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_plan_deals_its_folds_from_what_the_reference_pool_leaves(self, seed):
+        rng = np.random.default_rng(seed)
+        manifest = make_manifest({f"p{i}": int(rng.integers(1, 9)) for i in range(20)})
+        reference, rest = ev.reference_pool(manifest.samples, 0.3, seed)
+        plan = ev.plan_folds(manifest, k=4, reference_fraction=0.3, seed=seed)
+        assert plan.reference_patients == reference
+        assert sorted(p for fold in plan.folds for p in fold) == sorted(rest)
+
+    def test_reference_pool_needs_no_fold_count(self):
+        manifest = make_manifest({f"p{i}": 2 for i in range(6)})
+        reference, rest = ev.reference_pool(manifest.samples, 0.5, 0)
+        assert len(reference) == len(rest) == 3
+        with pytest.raises(TooFewPatients, match="3 patients left for 5 folds"):
+            ev.plan_folds(manifest, k=5, reference_fraction=0.5, seed=0)
+
     def test_deterministic(self):
         manifest = make_manifest({f"p{i}": 3 for i in range(15)})
         a = ev.plan_folds(manifest, k=5, reference_fraction=0.2, seed=9)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ramanfuse import bovw, dataio, experiments, spectral, svm, synth
+from ramanfuse import bovw, dataio, evaluation, experiments, spectral, svm, synth
 
 COHORT = dict(n_patients=12, n_samples=70, dp_size=96, rci_size=24, n_bands=32)
 CONFIG = experiments.PipelineConfig(dp_size=96, rci_size=64, k_dp=12, k_rci=6)
@@ -31,6 +31,18 @@ def descriptors(cohort):
 @pytest.fixture(scope="module")
 def features(descriptors):
     return experiments.partition_features(descriptors, seed=0)
+
+
+def fold_plan(features):
+    config = features.config
+    return evaluation.plan_folds(features.descriptors.manifest, config.folds,
+                                 config.reference_fraction, features.seed)
+
+
+def reference_patients(features):
+    samples = features.descriptors.manifest.samples
+    return evaluation.reference_pool(samples, features.config.reference_fraction,
+                                     features.seed)[0]
 
 
 class TestPreparation:
@@ -174,14 +186,14 @@ class TestTwoStageFeatures:
         n_cls = len(features.y)
         n_ref = len(features.reference_rows)
         assert n_cls + n_ref == len(descriptors.y)
-        reference = set(features.plan.reference_patients)
+        reference = set(reference_patients(features))
         assert reference
         assert not reference.intersection(features.patient_ids)
-        for fold in features.plan.folds:
+        for fold in fold_plan(features).folds:
             assert not reference.intersection(fold)
 
     def test_reference_pools_match_reference_rows(self, features, descriptors):
-        reference = set(features.plan.reference_patients)
+        reference = set(reference_patients(features))
         ref_rows = [
             i
             for i, r in enumerate(descriptors.manifest.samples)
@@ -236,7 +248,7 @@ class TestTwoStageFeatures:
 
     def test_partition_seed_changes_the_split(self, descriptors, features):
         other = experiments.partition_features(descriptors, seed=1)
-        assert other.plan != features.plan
+        assert not np.array_equal(other.reference_rows, features.reference_rows)
 
 
 class TestFoldIndices:
@@ -251,17 +263,19 @@ class TestFoldIndices:
             seen[test] += 1
         assert np.all(seen == 1)
 
-    def test_rows_of_patients_in_no_fold_are_on_neither_side(self, features):
-        bare = replace(features, plan=replace(features.plan, reference_patients=()))
-        pids = np.asarray(bare.patient_ids)
-        outside = np.flatnonzero(np.isin(pids, features.plan.reference_patients))
-        assert len(outside)
-        folds = experiments.plan_fold_indices(bare)
-        assert len(folds) == CONFIG.folds
-        for train, test in folds:
-            assert not np.intersect1d(outside, np.concatenate([train, test])).size
-        tested = np.concatenate([test for _, test in folds])
-        assert sorted(tested.tolist() + outside.tolist()) == list(range(len(pids)))
+    def test_test_rows_are_the_rows_of_the_planned_folds(self, features):
+        pids = np.asarray(features.patient_ids)
+        folds = experiments.plan_fold_indices(features)
+        plan = fold_plan(features)
+        for (_, test), patients in zip(folds, plan.folds, strict=True):
+            assert set(pids[test]) == set(patients)
+
+    def test_fold_count_is_read_only_where_folds_are_dealt(self, descriptors, features):
+        three = replace(descriptors, config=replace(CONFIG, folds=3))
+        features3 = experiments.partition_features(three, seed=0)
+        assert np.array_equal(features3.reference_rows, features.reference_rows)
+        assert np.array_equal(features3.matrix("fused"), features.matrix("fused"))
+        assert len(experiments.plan_fold_indices(features3)) == 3
 
 
 class TestRoutes:

@@ -10,6 +10,7 @@ from ramanfuse.errors import (
     ConstantImage,
     DimMismatch,
     InputTooSmall,
+    NumericalError,
     TooFewPixels,
 )
 from ramanfuse.imaging import (
@@ -168,6 +169,12 @@ class TestPca:
         assert np.allclose(ra.loadings, rb.loadings)
         assert np.allclose(ra.score_images, rb.score_images)
         assert ra.score_images[0, 0, 0] == 0.0
+
+    def test_overflowing_scatter_is_a_numerical_error(self):
+        data = (1.0 + np.random.default_rng(7).random((12, 12, 16))) * 1e300
+        cube = HyperspectralCube(np.arange(16.0), data)
+        with pytest.raises(NumericalError, match="not finite"):
+            pca_scores(cube, 3)
 
     def test_deterministic_sign(self):
         cube = random_cube(np.random.default_rng(6))
