@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bovw, dataio, evaluation, experiments, plsda, spectral, svm, synth
 from .errors import (
-    DataError, DimMismatch, MalformedFile, ModalityMismatch, NumericalError,
+    DataError, DimMismatch, MalformedFile, ModalityMismatch, NumericalError, SingleClass,
 )
 from .seeds import derive_seed
 from .sift import DESCRIPTOR_LENGTH
@@ -180,6 +180,11 @@ def _svm_config(args) -> svm.SvmConfig:
     return svm.SvmConfig(C=args.c, kernel=args.kernel, gamma=args.gamma)
 
 
+def _svm_settings(cfg: svm.SvmConfig) -> str:
+    """C, and gamma for the rbf kernel: a linear model has no gamma."""
+    return f"C={cfg.C:g}" + (f", gamma={cfg.gamma:g}" if cfg.kernel == "rbf" else "")
+
+
 def _pls_settings(args):
     """(pretreatment, latent variables) of the median-spectrum route."""
     default_pre, default_lv = PLS_DEFAULTS[args.task]
@@ -219,12 +224,22 @@ def _out_dir(args) -> Path:
     return _make_dir(Path(args.out))
 
 
-def _check_fold_plans(manifest, args, cfg, seeds) -> None:
+def _check_fold_plans(manifest, args, cfg, seeds, both_classes: bool = False) -> None:
     """Deal every seed's folds from the task's records alone, so a cohort
-    too small for them fails before any cube is loaded."""
-    task = replace(manifest, samples=tuple(experiments.task_records(manifest, args.task)[0]))
-    for seed in seeds:
-        evaluation.plan_folds(task, cfg.folds, cfg.reference_fraction, seed)
+    too small for them fails before any cube is loaded. With both_classes,
+    every fold's test rows must also hold both classes, which its ROC needs."""
+    records, y = experiments.task_records(manifest, args.task)
+    task = replace(manifest, samples=tuple(records))
+    plans = [evaluation.plan_folds(task, cfg.folds, cfg.reference_fraction, seed)
+             for seed in seeds]
+    if not both_classes:
+        return
+    patients = np.array([record.patient_id for record in records])
+    for r, plan in enumerate(plans):
+        for f, fold in enumerate(plan.folds, start=1):
+            if len(np.unique(y[np.isin(patients, fold)])) < 2:
+                raise SingleClass(f"reference set {r}, fold {f}: the test rows hold one "
+                                  f"class only, and ROC needs both")
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -361,7 +376,7 @@ def _cmd_train(args) -> int:
     model = fit(X, features.y)
     dataio.save_model(model, out)
     print(
-        f"trained {svm_cfg.kernel} SVM (C={svm_cfg.C:g}, gamma={svm_cfg.gamma:g}) "
+        f"trained {svm_cfg.kernel} SVM ({_svm_settings(svm_cfg)}) "
         f"on {len(features.y)} samples x {X.shape[1]} features -> {out}"
     )
     return 0
@@ -373,7 +388,7 @@ def _cmd_cv(args) -> int:
     cfg = _pipeline_config(args)
     seeds = ([args.seed] if n_sets == 1
              else [derive_seed(args.seed, "reference-set", r) for r in range(n_sets)])
-    _check_fold_plans(manifest, args, cfg, seeds)
+    _check_fold_plans(manifest, args, cfg, seeds, both_classes=True)
     out = _out_dir(args)
     svm_cfg = _svm_config(args)
     pre, n_lv = _pls_settings(args)
@@ -438,12 +453,13 @@ def _cmd_grid(args) -> int:
         best_path,
         ["dict_size_dp", "dict_size_rci", "kernel", "C", "gamma", "mean_accuracy"],
         [[k_dp, k_rci, best.config.kernel, repr(best.config.C),
-          repr(best.config.gamma), "%.6f" % result.mean_accuracy]],
+          repr(best.config.gamma) if best.config.kernel == "rbf" else "",
+          "%.6f" % result.mean_accuracy]],
     )
     print(
         f"searched {len(result.rows)} configurations; best: dictionaries "
-        f"({k_dp}, {k_rci}), {best.config.kernel}, C={best.config.C:g}, "
-        f"gamma={best.config.gamma:g}, mean accuracy {result.mean_accuracy:.4f}"
+        f"({k_dp}, {k_rci}), {best.config.kernel}, {_svm_settings(best.config)}, "
+        f"mean accuracy {result.mean_accuracy:.4f}"
     )
     print(f"full table -> {out}; best row -> {best_path}")
     return 0

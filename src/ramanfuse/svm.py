@@ -4,7 +4,7 @@ Platt probability calibration, exhaustive parameter grid search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,11 +39,18 @@ class SvmConfig:
             raise ValueError("gamma must be positive for rbf")
 
 
-def _sq_distances(a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and b, given
-    ab = a @ b.T; non-finite inputs give non-finite distances, unwarned."""
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a; an overflow gives inf, unwarned."""
+    with np.errstate(over="ignore"):
+        return (a**2).sum(axis=1)
+
+
+def _sq_distances(a_sq: np.ndarray, b_sq: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b, given their
+    squared norms a_sq and b_sq and ab = a @ b.T; non-finite inputs give
+    non-finite distances, unwarned."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (a**2).sum(axis=1)[:, None] - 2.0 * ab + (b**2).sum(axis=1)[None, :]
+        return a_sq[:, None] - 2.0 * ab + b_sq[None, :]
 
 
 def _rbf(d2: np.ndarray, gamma: float) -> np.ndarray:
@@ -58,7 +65,9 @@ def _check_finite(k: np.ndarray) -> np.ndarray:
 
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float) -> np.ndarray:
     ab = a @ b.T
-    return _check_finite(ab if kernel == "linear" else _rbf(_sq_distances(a, b, ab), gamma))
+    if kernel == "linear":
+        return _check_finite(ab)
+    return _check_finite(_rbf(_sq_distances(_sq_norms(a), _sq_norms(b), ab), gamma))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,11 +193,13 @@ def _smo(chains, tol: float, max_iter: int):
     alpha > 0 for y = -1) and I_low (alpha > 0 for y = +1, alpha < C for
     y = -1). i and j are the first argmax of g over I_up and argmin over
     I_low. A fit ends when the KKT violation gap g_i - g_j drops to tol,
-    or after max_iter steps. The
-    generator then yields (chain index, C index, _Fit), and the slot
-    restarts at the chain's next C: from the solution just found when C
-    does not decrease (alpha seeding, as in DeCoste & Wagstaff, KDD 2000),
-    from zeros otherwise.
+    or after max_iter steps. The generator then yields (chain index,
+    C index, _Fit) for every slot whose fit ended in that step, and those
+    slots restart together at their chains' next C: from the solution just
+    found when C does not decrease (alpha seeding, as in DeCoste &
+    Wagstaff, KDD 2000), from zeros otherwise. A slot whose restart already
+    meets the stopping rule yields again at once. Fits of one step come in
+    slot order; consumers key them by (chain, C index).
 
     Slots are padded to the largest problem with zero Q rows and columns
     outside both working sets, so padded entries are never picked, and
@@ -208,6 +219,8 @@ def _smo(chains, tol: float, max_iter: int):
         up_bound=np.zeros((n_slots, width)), low_bound=np.zeros((n_slots, width)),
     )
     Qs = [(chain.y[:, None] * chain.y[None, :]) * chain.K for chain in chains]
+    n_Cs = np.array([len(chain.Cs) for chain in chains])
+    C_table = np.zeros((n_slots, n_Cs.max()))  # row k: chain k's Cs, zero-padded
     for b, (chain, Q) in enumerate(zip(chains, Qs)):
         n = len(chain.y)
         s.y[b, :n] = chain.y
@@ -215,50 +228,51 @@ def _smo(chains, tol: float, max_iter: int):
         # the sign-flipped update of grad, so g holds the values of -y * grad.
         s.Q_g[b, :n, :n] = Q * (-chain.y)[None, :]
         s.qd[b, :n] = np.diag(Q)
+        C_table[b, :len(chain.Cs)] = chain.Cs
 
-    def start(b, warm):
-        """Slot b at its chain's C index: from warm, the previous C's
-        alpha, or from zeros when warm is None."""
-        chain = chains[s.chain[b]]
-        y, n, C = chain.y, len(chain.y), chain.Cs[s.c_idx[b]]
-        s.C[b], s.n_iter[b] = C, 0
-        s.up_bound[b, :n], s.low_bound[b, :n] = np.where(y > 0, C, 0.0), np.where(y < 0, -C, 0.0)
-        if warm is None:
-            s.alpha[b, :n], s.g[b, :n] = 0.0, y
-        else:
-            s.alpha[b, :n] = warm
-            # -y * grad at warm (at alpha = 0, y itself)
-            s.g[b, :n] = y - y * (Qs[s.chain[b]] @ warm) if warm.any() else y
-        g = s.g[b]
-        i, j = _working_pair(g, s.y[b] * s.alpha[b], s.up_bound[b], s.low_bound[b])
-        s.i[b], s.j[b], s.gap[b] = i, j, g[i] - g[j]
+    def start(rows, warm):
+        """Start the slots in rows at their chains' current C: from their
+        alpha, the previous C's solution, where warm, else from zeros."""
+        chain, y = s.chain[rows], s.y[rows]
+        C = C_table[chain, s.c_idx[rows]]
+        up, low = np.where(y > 0, C[:, None], 0.0), np.where(y < 0, -C[:, None], 0.0)
+        s.C[rows], s.n_iter[rows], s.up_bound[rows], s.low_bound[rows] = C, 0, up, low
+        s.alpha[rows[~warm]] = 0.0
+        alpha = s.alpha[rows]
+        # -y * grad = y - y * (Q alpha): one Q alpha per warm slot, on its
+        # unpadded entries; at alpha = 0 this is y itself.
+        Q_alpha = np.zeros((len(rows), width))
+        for r in np.flatnonzero(warm):
+            n = len(Qs[chain[r]])
+            Q_alpha[r, :n] = Qs[chain[r]] @ alpha[r, :n]
+        g = y - y * Q_alpha
+        i, j = _working_pair(g, y * alpha, up, low)
+        r = np.arange(len(rows))
+        s.g[rows], s.i[rows], s.j[rows], s.gap[rows] = g, i, j, g[r, i] - g[r, j]
 
-    def result(b):
-        n = len(chains[s.chain[b]].y)
-        alpha, g = s.alpha[b, :n].copy(), s.g[b, :n]
-        free = (alpha > 0) & (alpha < s.C[b])
-        if free.any():
-            bias = float(g[free].mean())
-        else:
-            bias = float((g[s.i[b]] + g[s.j[b]]) / 2.0)
-        return _Fit(alpha, int(s.n_iter[b]), float(s.gap[b]), bias)
+    def result(b, alpha):
+        g = s.g[b, :len(alpha)]
+        free = g[(alpha > 0) & (alpha < s.C[b])]
+        # the sum over the count, as np.mean computes it
+        bias = free.sum() / len(free) if len(free) else (g[s.i[b]] + g[s.j[b]]) / 2.0
+        return _Fit(alpha, int(s.n_iter[b]), float(s.gap[b]), float(bias))
 
-    for b in range(n_slots):
-        start(b, None)
+    start(np.arange(n_slots), np.zeros(n_slots, dtype=bool))
     base = np.arange(n_slots) * width  # flat index of each slot's first entry
     Q_g_rows = s.Q_g.reshape(-1, width)
     while True:
         retired = []
-        for b in np.flatnonzero((s.gap <= tol) | (s.n_iter == max_iter)):
-            while s.gap[b] <= tol or s.n_iter[b] == max_iter:
-                k, p, fit = int(s.chain[b]), int(s.c_idx[b]), result(b)
-                yield k, p, fit
-                Cs = chains[k].Cs
-                if p + 1 == len(Cs):
-                    retired.append(b)
-                    break
-                s.c_idx[b] = p + 1
-                start(b, fit.alpha if Cs[p + 1] >= Cs[p] else None)
+        done = np.flatnonzero((s.gap <= tol) | (s.n_iter == max_iter))
+        while done.size:
+            chain, c_idx = s.chain[done], s.c_idx[done]
+            for b, k, p, alpha in zip(done, chain, c_idx, s.alpha[done]):
+                yield int(k), int(p), result(b, alpha[:len(chains[k].y)])
+            more = c_idx + 1 < n_Cs[chain]
+            retired.extend(done[~more])
+            rows, chain, c_idx = done[more], chain[more], c_idx[more]
+            s.c_idx[rows] = c_idx + 1
+            start(rows, C_table[chain, c_idx + 1] >= C_table[chain, c_idx])
+            done = rows[(s.gap[rows] <= tol) | (s.n_iter[rows] == max_iter)]
         if retired:
             if len(retired) == len(s.chain):
                 return
@@ -456,36 +470,78 @@ def enumerate_grid(
     return entries
 
 
+@dataclass(frozen=True, eq=False)
+class _Fold:
+    """One cross-validation fold as the grid search reads it: the training
+    rows with their labels, the test rows, and the squared norms of both."""
+
+    X_train: np.ndarray
+    y_train: np.ndarray
+    X_test: np.ndarray
+    sq_train: np.ndarray
+    sq_test: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _ChainScorer:
+    """Decision values on a fold's test rows for the fits of one
+    (kernel, gamma) chain, without building their models."""
+
+    fold: _Fold
+    kernel: str
+    gamma: float
+    test_kernels: dict = field(default_factory=dict)  # kept rows -> their test kernel
+
+    def decision_values(self, fit: _Fit) -> np.ndarray:
+        """decision(_model(fold.X_train, fold.y_train, cfg, fit), fold.X_test)
+        bit for bit: the same products over the training rows the fit
+        keeps, with the fold's squared norms made once, and one test kernel
+        per set of kept rows, which fits along C often share."""
+        fold, kept = self.fold, fit.alpha > 1e-12
+        key = kept.tobytes()
+        k = self.test_kernels.get(key)
+        if k is None:
+            k = fold.X_test @ fold.X_train[kept].T
+            if self.kernel == "rbf":
+                k = _rbf(_sq_distances(fold.sq_test, fold.sq_train[kept], k), self.gamma)
+            k = self.test_kernels[key] = _check_finite(k)
+        return k @ (fit.alpha * fold.y_train)[kept] + fit.bias
+
+
 def _search_feature_set(shared, task):
     """Fold accuracies of every configuration of one feature set, per
     (kernel, gamma) group and C. One _smo batch solves them all, with one
-    chain per group and fold; each fold's linear Gram and squared distances
-    are built once, by the arithmetic of _kernel_matrix on the training
-    block with itself."""
+    chain per group and fold; each fold's linear Gram, squared norms and
+    squared distances are built once, by the arithmetic of _kernel_matrix.
+    Each fit is scored by its chain's _ChainScorer, so its predictions are
+    those of the model it makes."""
     matrices, y, folds = shared
     key, groups = task
     X = matrices[key]
     blocks = []
     for train_idx, test_idx in folds:
-        X_train, y_train = X[train_idx], y[train_idx]
-        _check_labels(y_train)
+        X_train, X_test = X[train_idx], X[test_idx]
+        fold = _Fold(X_train, y[train_idx], X_test, _sq_norms(X_train), _sq_norms(X_test))
+        _check_labels(fold.y_train)
         ab = X_train @ X_train.T
-        blocks.append((X_train, y_train, X[test_idx], y[test_idx], ab,
-                       _sq_distances(X_train, X_train, ab)))
-    chains = []
+        blocks.append((fold, y[test_idx] > 0, ab, _sq_distances(fold.sq_train, fold.sq_train, ab)))
+    chains, scorers = [], []
     for configs in groups:
         kernel, gamma = configs[0].kernel, configs[0].gamma
         Cs = tuple(float(cfg.C) for cfg in configs)
-        for _, y_train, _, _, ab, d2 in blocks:
+        for fold, _, ab, d2 in blocks:
             K = _check_finite(ab if kernel == "linear" else _rbf(d2, gamma))
-            chains.append(_Chain(K, y_train, Cs))
+            chains.append(_Chain(K, fold.y_train, Cs))
+            scorers.append(_ChainScorer(fold, kernel, gamma))
     accs = [[[None] * len(folds) for _ in configs] for configs in groups]
     cfg = groups[0][0]
     for k, p, fit in _smo(chains, cfg.tol, cfg.max_iter):
-        group, fold = divmod(k, len(folds))
-        X_train, y_train, X_test, y_test, _, _ = blocks[fold]
-        model = _model(X_train, y_train, groups[group][p], fit)
-        accs[group][p][fold] = float((predict(model, X_test) == y_test).mean())
+        group, fold_idx = divmod(k, len(folds))
+        positive = blocks[fold_idx][1]
+        # predict's sign rule (an exact 0 goes positive); the count over the
+        # length is the mean of the hits, bit for bit
+        hits = (scorers[k].decision_values(fit) >= 0) == positive
+        accs[group][p][fold_idx] = int(np.count_nonzero(hits)) / len(positive)
     return [[tuple(a) for a in group_accs] for group_accs in accs]
 
 

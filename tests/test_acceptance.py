@@ -414,6 +414,7 @@ def test_08_pls_matches_least_squares_oracles():
 # --- 9: fusion beats single modalities at cohort scale ------------------------------
 
 
+@pytest.mark.slow
 def test_09_fusion_beats_single_modalities_on_synthetic_cohorts():
     t0 = time.perf_counter()
     mid = experiments.fusion_benchmark(0.6, 0.6, range(10))

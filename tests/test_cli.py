@@ -19,6 +19,10 @@ COHORT_FLAGS = [
     "--n-patients", "12", "--n-samples", "70", "--image-size", "96",
     "--cube-size", "24", "--n-bands", "32", "--seed", "7",
 ]
+# Six samples whose two cv test folds (--folds 2) each hold both classes,
+# which cv checks before it loads a cube; at seed 1 one fold does not.
+CV_COHORT = synth.SynthSpec(n_patients=3, n_samples=6, dp_size=32, rci_size=8, n_bands=32,
+                            seed=8)
 SIZE_FLAGS = ["--dp-size", "96", "--rci-size", "64"]
 PIPE_FLAGS = [*SIZE_FLAGS, "--k-dp", "12", "--k-rci", "6"]
 
@@ -204,8 +208,7 @@ class TestExitCodes:
     def test_cubes_with_another_wavenumber_axis_are_a_data_error(
         self, tmp_path, capsys, argv, n_bands, shift
     ):
-        cohort = synth.generate(synth.SynthSpec(
-            n_patients=3, n_samples=6, dp_size=32, rci_size=8, n_bands=32, seed=1), tmp_path)
+        cohort = synth.generate(CV_COHORT, tmp_path)
         last = cohort.samples[-1]
         cube = dataio.load_cube(last.rci_path)
         dataio.save_cube(dataio.HyperspectralCube(
@@ -233,8 +236,7 @@ class TestExitCodes:
         assert len(err) == 1 and "data error" in err[0]
 
     def test_binary_cube_larger_than_its_file_is_a_one_line_data_error(self, tmp_path, capsys):
-        cohort = synth.generate(synth.SynthSpec(
-            n_patients=3, n_samples=6, dp_size=32, rci_size=8, n_bands=32, seed=1), tmp_path)
+        cohort = synth.generate(CV_COHORT, tmp_path)
         cohort.samples[0].rci_path.write_bytes(
             b"ramancube binary 1\n100000 100000 4\n400 500 600 700\n" + bytes(24))
         assert cli.main([
@@ -247,8 +249,7 @@ class TestExitCodes:
     def test_cube_whose_scatter_overflows_is_a_one_line_numerical_failure(
         self, tmp_path, capsys
     ):
-        cohort = synth.generate(synth.SynthSpec(
-            n_patients=3, n_samples=6, dp_size=32, rci_size=8, n_bands=32, seed=1), tmp_path)
+        cohort = synth.generate(CV_COHORT, tmp_path)
         path = cohort.samples[0].rci_path
         cube = dataio.load_cube(path)
         dataio.save_cube(dataio.HyperspectralCube(
@@ -495,6 +496,13 @@ class TestTrain:
         assert isinstance(model, svm.SvmModel)
         assert model.platt_a is not None
 
+    def test_linear_model_reports_no_gamma(self, manifest, tmp_path, capsys):
+        assert cli.main([
+            "train", "--manifest", manifest, "--task", "nc-c", "--modality", "rci",
+            "--kernel", "linear", "--c", "2", "--out", str(tmp_path / "svm.json"), *PIPE_FLAGS,
+        ]) == 0
+        assert "trained linear SVM (C=2) on " in capsys.readouterr().out
+
     def test_median_route_saves_a_pls_model(self, manifest, tmp_path):
         out = tmp_path / "pls.json"
         assert cli.main([
@@ -567,6 +575,31 @@ class TestCrossValidation:
             "--modality", "dp", "--out", str(out), "--seed", "0", *PIPE_FLAGS,
         ]) == 0
         assert read_rows(out / "summary.csv")[1][1] == "dp"
+
+    @pytest.mark.parametrize("modality", ["dp", "median-spectrum"])
+    def test_single_class_test_fold_fails_before_any_file_is_read(
+        self, tmp_path, no_cubes, capsys, modality
+    ):
+        # Only patient p0 has cancer samples, so whichever fold lacks p0
+        # tests normal tissue alone. Every data file is empty: reading one
+        # would fail with another message.
+        samples = []
+        for p in range(6):
+            for s, label in enumerate(("g3", "normal") if p == 0 else ("normal", "normal")):
+                sample_id = f"p{p}s{s}"
+                for kind in ("dp", "rci"):
+                    (tmp_path / f"{sample_id}_{kind}").touch()
+                samples.append({"patient_id": f"p{p}", "sample_id": sample_id, "label": label,
+                                "dp_path": f"{sample_id}_dp", "rci_path": f"{sample_id}_rci"})
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"seed": 0, "samples": samples}))
+        out = tmp_path / "out"
+        assert cli.main(["cv", "--manifest", str(path), "--modality", modality,
+                         "--folds", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "reference set 0, fold " in err[0]
+        assert "one class only" in err[0]
+        assert not out.exists()
 
 
 class TestConfigValidation:
@@ -887,6 +920,19 @@ class TestGrid:
             "--kernels", "linear", *SIZE_FLAGS,
         ]) == 0
         assert work["kmeans"] == [("dp", 8), ("dp", 10), ("rci", 4)]
+
+    def test_a_linear_best_reports_no_gamma(self, manifest, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert cli.main([
+            "grid", "--manifest", manifest, "--task", "nc-c", "--out", str(out),
+            "--dp-sizes", "8", "--rci-sizes", "4", "--c-grid", "1,2",
+            "--kernels", "linear", *SIZE_FLAGS,
+        ]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        best = read_rows(out.with_name("grid_best.csv"))
+        assert best[1][2] == "linear" and best[1][4] == ""
+        assert [row[3] for row in read_rows(out)[1:]] == ["", ""]
+        assert "linear, C=" in summary and "gamma" not in summary
 
 
     @pytest.mark.parametrize("flags", [

@@ -639,6 +639,32 @@ class TestGridSearch:
                 expected.append(float((svm.predict(model, sets[key][te]) == y[te]).mean()))
             assert accs == tuple(expected), (key, kernel, c, gamma)
 
+    @pytest.mark.parametrize("kernel, gamma", [("linear", 1.0), ("rbf", 0.01)])
+    def test_each_fit_is_scored_as_its_model_decides(self, kernel, gamma):
+        # The grid scores a fit without building its model. Its decision
+        # values must be decision()'s on that model bit for bit, since an
+        # accuracy would hide a drift in the last bits. Most of these fits
+        # keep some but not all training rows, and a matrix product over
+        # the kept rows only need not match the same columns of a product
+        # over all rows (BLAS blocks the two differently). The C axis runs
+        # up and back down, so kept-row sets recur and their test kernels
+        # are reused.
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(43, 17))
+        y = np.where(X[:, 0] + 0.5 * rng.normal(size=43) > 0, 1.0, -1.0)
+        fold = svm._Fold(X[:34], y[:34], X[34:], svm._sq_norms(X[:34]), svm._sq_norms(X[34:]))
+        scorer = svm._ChainScorer(fold, kernel, gamma)
+        K = svm._kernel_matrix(fold.X_train, fold.X_train, kernel, gamma)
+        Cs = (0.01, 0.1, 1.0, 10.0, 100.0, 0.1, 0.01)
+        kept = []
+        for _, p, fit in svm._smo([svm._Chain(K, fold.y_train, Cs)], 1e-3, 200_000):
+            model = svm._model(fold.X_train, fold.y_train,
+                               svm.SvmConfig(C=Cs[p], kernel=kernel, gamma=gamma), fit)
+            assert np.array_equal(scorer.decision_values(fit), svm.decision(model, fold.X_test))
+            kept.append(len(model.dual_coef))
+        assert len(kept) == len(Cs) and any(0 < k < 34 for k in kept)
+        assert len(scorer.test_kernels) < len(Cs)
+
     def test_each_fit_starts_from_the_previous_c(self, monkeypatch):
         X, y = tiny_dataset()
         folds = two_folds(len(y))
