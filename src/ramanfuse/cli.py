@@ -193,6 +193,14 @@ def _pls_settings(args):
     return spectral.parse_pretreatment(pre), n_lv
 
 
+def _route_settings(args):
+    """The modality's RouteModel settings: its SvmConfig, or (pretreatment,
+    latent variables) for median-spectrum. Both are built, so a bad value of
+    either flag group fails before any work."""
+    svm_cfg, pls = _svm_config(args), _pls_settings(args)
+    return pls if args.modality == "median-spectrum" else svm_cfg
+
+
 def _load_task_manifest(args):
     if args.manifest is None:
         raise _UsageError("a --manifest file is required")
@@ -224,22 +232,24 @@ def _out_dir(args) -> Path:
     return _make_dir(Path(args.out))
 
 
-def _check_fold_plans(manifest, args, cfg, seeds, both_classes: bool = False) -> None:
+def _check_fold_plans(manifest, args, cfg, seeds, roc: bool = False) -> None:
     """Deal every seed's folds from the task's records alone, so a cohort
-    too small for them fails before any cube is loaded. With both_classes,
-    every fold's test rows must also hold both classes, which its ROC needs."""
+    too small for them fails before any cube is loaded. Every fold's
+    training rows must hold both classes, which a fit needs; with roc, its
+    test rows must too (which implies the former), for its ROC."""
     records, y = experiments.task_records(manifest, args.task)
     task = replace(manifest, samples=tuple(records))
     plans = [evaluation.plan_folds(task, cfg.folds, cfg.reference_fraction, seed)
              for seed in seeds]
-    if not both_classes:
-        return
+    side, need = ("test", "ROC") if roc else ("training", "a fit")
     patients = np.array([record.patient_id for record in records])
     for r, plan in enumerate(plans):
+        dealt = np.isin(patients, np.concatenate(plan.folds))
         for f, fold in enumerate(plan.folds, start=1):
-            if len(np.unique(y[np.isin(patients, fold)])) < 2:
-                raise SingleClass(f"reference set {r}, fold {f}: the test rows hold one "
-                                  f"class only, and ROC needs both")
+            test = np.isin(patients, fold)
+            if len(np.unique(y[test if roc else dealt & ~test])) < 2:
+                raise SingleClass(f"reference set {r}, fold {f}: the {side} rows hold one "
+                                  f"class only, and {need} needs both")
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -350,35 +360,19 @@ def _cmd_encode(args) -> int:
 def _cmd_train(args) -> int:
     manifest = _load_task_manifest(args)
     out = _out_path(args, "model file")
-    modality = args.modality
-    cfg = _pipeline_config(args)
-    if modality == "median-spectrum":
-        pre, n_lv = _pls_settings(args)
-        fit, _ = experiments.pls_fold_functions(pre, n_lv)
-    else:
-        svm_cfg = _svm_config(args)
-        fit, _ = experiments.svm_fold_functions(svm_cfg)
-
+    modality, settings = args.modality, _route_settings(args)
     desc = experiments.extract_cohort(
-        manifest, args.task, cfg, routes=experiments.ROUTES[modality]
+        manifest, args.task, _pipeline_config(args), routes=experiments.ROUTES[modality]
     )
     features = experiments.partition_features(desc, args.seed)
-    if modality == "median-spectrum":
-        _, model = fit(features.medians, features.y)
-        dataio.save_model(model, out)
-        print(
-            f"trained PLS-DA ({pre}, {model.n_lv} LVs) on "
-            f"{len(features.y)} classification samples -> {out}"
-        )
-        return 0
-
-    X = features.matrix(modality)
-    model = fit(X, features.y)
+    n = len(features.y)
+    model = experiments.RouteModel.fit(features, modality, np.arange(n), settings).classifier
     dataio.save_model(model, out)
-    print(
-        f"trained {svm_cfg.kernel} SVM ({_svm_settings(svm_cfg)}) "
-        f"on {len(features.y)} samples x {X.shape[1]} features -> {out}"
-    )
+    print("trained " + (
+        f"PLS-DA ({settings[0]}, {model.n_lv} LVs) on {n} classification and "
+        f"{len(features.reference_rows)} reference samples" if modality == "median-spectrum"
+        else f"{settings.kernel} SVM ({_svm_settings(settings)}) on {n} samples x "
+        f"{model.support_vectors.shape[1]} features") + f" -> {out}")
     return 0
 
 
@@ -388,17 +382,15 @@ def _cmd_cv(args) -> int:
     cfg = _pipeline_config(args)
     seeds = ([args.seed] if n_sets == 1
              else [derive_seed(args.seed, "reference-set", r) for r in range(n_sets)])
-    _check_fold_plans(manifest, args, cfg, seeds, both_classes=True)
+    _check_fold_plans(manifest, args, cfg, seeds, roc=True)
     out = _out_dir(args)
-    svm_cfg = _svm_config(args)
-    pre, n_lv = _pls_settings(args)
+    settings = _route_settings(args)
 
     desc = experiments.extract_cohort(manifest, task, cfg, routes=experiments.ROUTES[modality])
     sens, spec_, aucs = [], [], []
     for r, set_seed in enumerate(seeds):
         features = experiments.partition_features(desc, set_seed)
-        report = (experiments.run_pls_cv(features, pre, n_lv) if modality == "median-spectrum"
-                  else experiments.run_bovw_cv(features, modality, svm_cfg))
+        report = experiments.run_cv(features, modality, settings)
         evaluation.write_metrics_csv(report, out / f"metrics_set{r}.csv")
         if r == 0:
             evaluation.write_roc_csv(report.pooled_roc, out / "roc_set0.csv")

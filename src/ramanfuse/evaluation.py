@@ -172,26 +172,23 @@ class EvalReport:
         return out
 
 
-def cross_validate(
-    X: np.ndarray, y: np.ndarray, folds, fit_fn, score_fn, positive_label=1
-) -> EvalReport:
-    """Fit on each fold's train rows and score its test rows.
+def cross_validate(y: np.ndarray, folds, fit_fn, score_fn) -> EvalReport:
+    """Fit on each fold's train rows and score its test rows; class 1 is
+    the positive class.
 
-    folds are (train indices, test indices) pairs, as from
-    experiments.plan_fold_indices; fit_fn(X_train, y_train) -> model;
-    score_fn(model, X_test) -> (predicted labels, continuous scores).
+    folds are (train indices, test indices) pairs into y, as from
+    experiments.plan_fold_indices; fit_fn(train) -> model;
+    score_fn(model, test) -> (predicted labels, continuous scores).
     """
-    X = np.asarray(X)
     y = np.asarray(y)
     confusions = []
     aucs = []
     all_scores = []
     all_labels = []
     for train, test in folds:
-        model = fit_fn(X[train], y[train])
-        predictions, scores = score_fn(model, X[test])
-        confusions.append(confusion(y[test], predictions, positive_label))
-        _, fold_auc = roc_auc(scores, y[test], positive_label)
+        predictions, scores = score_fn(fit_fn(train), test)
+        confusions.append(confusion(y[test], predictions, 1))
+        _, fold_auc = roc_auc(scores, y[test])
         aucs.append(fold_auc)
         all_scores.append(np.asarray(scores, dtype=np.float64))
         all_labels.append(y[test])
@@ -199,9 +196,7 @@ def cross_validate(
     pooled = confusions[0]
     for c in confusions[1:]:
         pooled = pooled + c
-    roc_points, pooled_auc = roc_auc(
-        np.concatenate(all_scores), np.concatenate(all_labels), positive_label
-    )
+    roc_points, pooled_auc = roc_auc(np.concatenate(all_scores), np.concatenate(all_labels))
     return EvalReport(
         fold_confusions=tuple(confusions),
         fold_aucs=tuple(aucs),

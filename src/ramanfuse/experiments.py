@@ -11,7 +11,7 @@ import numpy as np
 
 from . import bovw, dataio, evaluation, imaging, plsda, spectral, svm, synth
 from .dataio import CohortManifest, GreyImage, Label
-from .errors import DimMismatch
+from .errors import DimMismatch, InsufficientClassCoverage
 from .sift import SiftParams, descriptor_matrix, extract
 
 TASKS = ("nc-c", "g3-g4")
@@ -108,6 +108,8 @@ def task_records(manifest: CohortManifest, task: str):
         y = np.array([1 if r.label is Label.G4 else 0 for r in records])
     else:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
+    if not records:
+        raise InsufficientClassCoverage(f"task {task} selects no sample of the manifest")
     return records, y
 
 
@@ -247,57 +249,61 @@ def route_histograms(features: CohortFeatures, modality: str, k: int, seed: int)
 # --- classification routes ---------------------------------------------------------
 
 
-def svm_fold_functions(cfg: svm.SvmConfig):
-    """fit/score pair for cross_validate: calibrated probabilities feed the
-    ROC ranking, hard signs feed the confusion matrix."""
+@dataclass(frozen=True, eq=False)
+class RouteModel:
+    """One modality's classifier fitted on classification rows of a
+    CohortFeatures: the calibrated SVM of a BoVW modality, or the PLS-DA
+    model of the median spectrum with its fitted pretreatment."""
 
-    def fit(X, y01):
-        y = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
-        model = svm.train(np.asarray(X, dtype=np.float64), y, cfg)
-        return svm.calibrate(model, X, y)
+    modality: str
+    classifier: object   # svm.SvmModel, or plsda.PlsModel for median-spectrum
+    pretreatment: spectral.FittedPretreatment | None = None
 
-    def score(model, X):
-        labels = (svm.predict(model, np.asarray(X, dtype=np.float64)) + 1) // 2
-        return labels, svm.predict_proba(model, X)
+    @classmethod
+    def fit(cls, features: CohortFeatures, modality: str, rows, settings) -> "RouteModel":
+        """Fit on the classification rows `rows`. settings is the modality's
+        svm.SvmConfig, or (PretreatmentSpec, n_lv) for median-spectrum, which
+        trains on these rows' medians followed by every reference median."""
+        if modality == "median-spectrum":
+            pretreatment, n_lv = settings
+            train = np.concatenate([features.classification_rows[rows], features.reference_rows])
+            fitted, treated = spectral.fit_pretreatment(
+                pretreatment, features.descriptors.medians[train])
+            cap = min(n_lv, len(treated) - 1, treated.shape[1])
+            pls = plsda.fit_pls(treated, features.descriptors.y[train], cap, pretreatment)
+            return cls(modality, pls, fitted)
+        X = features.matrix(modality)[rows]
+        y = 2.0 * features.y[rows] - 1.0
+        return cls(modality, svm.calibrate(svm.train(X, y, settings), X, y))
 
-    return fit, score
+    def scores(self, features: CohortFeatures, rows):
+        """(0/1 labels, scores) of the classification rows `rows`: hard
+        labels feed the confusion matrix, scores the ROC ranking (the SVM's
+        calibrated probabilities)."""
+        if self.pretreatment is not None:
+            medians = self.pretreatment.apply(features.medians[rows])
+            return plsda.predict_class(self.classifier, medians)
+        X = features.matrix(self.modality)[rows]
+        return (svm.predict(self.classifier, X) + 1) // 2, svm.predict_proba(self.classifier, X)
 
 
-def run_bovw_cv(
-    features: CohortFeatures, modality: str, cfg: svm.SvmConfig = SVM_CONFIG
-) -> evaluation.EvalReport:
-    fit, score = svm_fold_functions(cfg)
+def run_cv(features: CohortFeatures, modality: str, settings) -> evaluation.EvalReport:
+    """Cross-validate the modality over plan_fold_indices: each fold fits a
+    RouteModel on its train rows and scores its test rows."""
     return evaluation.cross_validate(
-        features.matrix(modality), features.y, plan_fold_indices(features), fit, score
+        features.y, plan_fold_indices(features),
+        lambda train: RouteModel.fit(features, modality, train, settings),
+        lambda model, test: model.scores(features, test),
     )
 
 
-def pls_fold_functions(pretreatment: spectral.PretreatmentSpec, n_lv: int):
-    def fit(X, y01):
-        fitted, treated = spectral.fit_pretreatment(pretreatment, X)
-        cap = min(n_lv, len(X) - 1, treated.shape[1])
-        return fitted, plsda.fit_pls(treated, y01, cap, pretreatment)
-
-    def score(model, X):
-        fitted, pls = model
-        labels, scores = plsda.predict_class(pls, fitted.apply(X))
-        return labels, scores
-
-    return fit, score
+# run_cv under the two names the benchmark's workloads call.
+def run_bovw_cv(features: CohortFeatures, modality: str, cfg=SVM_CONFIG) -> evaluation.EvalReport:
+    return run_cv(features, modality, cfg)
 
 
-def run_pls_cv(
-    features: CohortFeatures, pretreatment: spectral.PretreatmentSpec, n_lv: int
-) -> evaluation.EvalReport:
-    """Median-spectrum route: the classification rows, then the reference
-    medians, which join every fold's training side and are never tested."""
-    cls, ref = features.classification_rows, features.reference_rows
-    rows = np.concatenate([cls, ref])
-    extra = np.arange(len(cls), len(rows))
-    folds = [(np.concatenate([train, extra]), test) for train, test in plan_fold_indices(features)]
-    fit, score = pls_fold_functions(pretreatment, n_lv)
-    desc = features.descriptors
-    return evaluation.cross_validate(desc.medians[rows], desc.y[rows], folds, fit, score)
+def run_pls_cv(features: CohortFeatures, pretreatment, n_lv: int) -> evaluation.EvalReport:
+    return run_cv(features, "median-spectrum", (pretreatment, n_lv))
 
 
 def grid_feature_sets(features: CohortFeatures, dp_sizes, rci_sizes, seed: int) -> dict:
@@ -350,6 +356,6 @@ def fusion_benchmark(
             manifest = synth.generate(spec, tmp)
             features = partition_features(extract_cohort(manifest, task, config), seed)
             for modality in out:
-                report = run_bovw_cv(features, modality)
+                report = run_cv(features, modality, SVM_CONFIG)
                 out[modality].append(float(np.mean(report.fold_aucs)))
     return out

@@ -1,7 +1,12 @@
-"""The benchmark tracer (perfbench/tracer.py) wraps the public functions it
-lists in TRACED by name; each of them must still exist in the package."""
+"""The benchmark calls into the package by name: the tracer
+(perfbench/tracer.py) wraps the public functions it lists in TRACED, and
+the workloads (perfbench/workloads.py) call package functions. Each of
+those names must still exist, and each workload call must still bind to
+its function's signature."""
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -23,3 +28,41 @@ def test_every_traced_name_resolves():
             assert hasattr(owner, part), f"ramanfuse.{module_name}.{attr} is gone"
             owner = getattr(owner, part)
         assert callable(owner), f"ramanfuse.{module_name}.{attr} is not callable"
+
+
+WORKLOADS = TRACER.with_name("workloads.py")
+
+
+def workload_uses():
+    """(module, attribute, call or None) for every attribute of a package
+    module that perfbench/workloads.py reads, from its source alone; call
+    is the ast.Call when the attribute is called there."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "ramanfuse"
+               for alias in node.names}
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return modules, [
+        (node.value.id, node.attr, calls.get(id(node))) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
+
+
+def test_every_package_name_the_workloads_use_resolves_and_binds():
+    modules, uses = workload_uses()
+    assert {"cli", "experiments", "svm", "spectral", "dataio", "synth"} <= modules
+    assert {"run_bovw_cv", "run_pls_cv"} <= {attr for _, attr, _ in uses}
+    for module_name, attr, call in uses:
+        owner = importlib.import_module(f"ramanfuse.{module_name}")
+        assert hasattr(owner, attr), f"ramanfuse.{module_name}.{attr} is gone"
+        if call is None:
+            continue
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        assert all(keyword.arg is not None for keyword in call.keywords)
+        try:
+            inspect.signature(getattr(owner, attr)).bind(
+                *call.args, **{keyword.arg: keyword.value for keyword in call.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"workloads.py line {call.lineno}: "
+                                 f"{module_name}.{attr} {exc}") from None

@@ -128,6 +128,22 @@ def count_route_work(monkeypatch):
     return work
 
 
+def empty_file_manifest(tmp_path, labels):
+    """A manifest whose data files are all empty, so that reading any of
+    them fails: patient p<i> holds one sample per label in labels[i]."""
+    samples = []
+    for p, patient_labels in enumerate(labels):
+        for s, label in enumerate(patient_labels):
+            sample_id = f"p{p}s{s}"
+            for kind in ("dp", "rci"):
+                (tmp_path / f"{sample_id}_{kind}").touch()
+            samples.append({"patient_id": f"p{p}", "sample_id": sample_id, "label": label,
+                            "dp_path": f"{sample_id}_dp", "rci_path": f"{sample_id}_rci"})
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"seed": 0, "samples": samples}))
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def cv_fused_dir(manifest, tmp_path_factory):
     out = tmp_path_factory.mktemp("cv_fused")
@@ -503,6 +519,31 @@ class TestTrain:
         ]) == 0
         assert "trained linear SVM (C=2) on " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("modality", experiments.MODALITIES)
+    def test_saved_model_is_the_route_model_fit_on_every_classification_row(
+        self, manifest, tmp_path, capsys, modality
+    ):
+        out, want = tmp_path / "model.json", tmp_path / "want.json"
+        assert cli.main([
+            "train", "--manifest", manifest, "--task", "nc-c", "--modality", modality,
+            "--out", str(out), *PIPE_FLAGS,
+        ]) == 0
+        config = experiments.PipelineConfig(dp_size=96, rci_size=64, k_dp=12, k_rci=6)
+        desc = experiments.extract_cohort(dataio.load_manifest(manifest), "nc-c", config,
+                                          routes=experiments.ROUTES[modality])
+        features = experiments.partition_features(desc, seed=0)
+        pretreatment, n_lv = cli.PLS_DEFAULTS["nc-c"]
+        settings = ((spectral.parse_pretreatment(pretreatment), n_lv)
+                    if modality == "median-spectrum" else experiments.SVM_CONFIG)
+        rows = np.arange(len(features.y))
+        model = experiments.RouteModel.fit(features, modality, rows, settings)
+        dataio.save_model(model.classifier, want)
+        assert out.read_bytes() == want.read_bytes()
+        if modality == "median-spectrum":
+            fitted = (f"on {len(rows)} classification and {len(features.reference_rows)} "
+                      f"reference samples -> ")
+            assert fitted in capsys.readouterr().out
+
     def test_median_route_saves_a_pls_model(self, manifest, tmp_path):
         out = tmp_path / "pls.json"
         assert cli.main([
@@ -583,22 +624,43 @@ class TestCrossValidation:
         # Only patient p0 has cancer samples, so whichever fold lacks p0
         # tests normal tissue alone. Every data file is empty: reading one
         # would fail with another message.
-        samples = []
-        for p in range(6):
-            for s, label in enumerate(("g3", "normal") if p == 0 else ("normal", "normal")):
-                sample_id = f"p{p}s{s}"
-                for kind in ("dp", "rci"):
-                    (tmp_path / f"{sample_id}_{kind}").touch()
-                samples.append({"patient_id": f"p{p}", "sample_id": sample_id, "label": label,
-                                "dp_path": f"{sample_id}_dp", "rci_path": f"{sample_id}_rci"})
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"seed": 0, "samples": samples}))
+        path = empty_file_manifest(tmp_path, [("g3", "normal")] + [("normal", "normal")] * 5)
         out = tmp_path / "out"
-        assert cli.main(["cv", "--manifest", str(path), "--modality", modality,
+        assert cli.main(["cv", "--manifest", path, "--modality", modality,
                          "--folds", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "reference set 0, fold " in err[0]
-        assert "one class only" in err[0]
+        assert "the test rows hold one class only" in err[0]
+        assert not out.exists()
+
+    def test_grid_with_a_single_class_training_fold_fails_before_any_file_is_read(
+        self, tmp_path, no_cubes, capsys
+    ):
+        # Only p0 has cancer samples: with two folds, the fold that holds
+        # p0 trains on the other fold's normal tissue alone.
+        path = empty_file_manifest(tmp_path, [("g3", "normal")] + [("normal", "normal")] * 5)
+        out = tmp_path / "grid.csv"
+        assert cli.main(["grid", "--manifest", path, "--folds", "2", "--kernels", "linear",
+                         "--c-grid", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "reference set 0, fold " in err[0]
+        assert "the training rows hold one class only" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["build-dict", "--modality", "dp"], ["encode", "--modality", "dp"], ["train"],
+        ["train", "--modality", "median-spectrum"], ["cv"], ["grid"], ["pls-select"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_task_that_selects_no_sample_fails_before_any_file_is_read(
+        self, tmp_path, dictionaries, no_cubes, capsys, argv
+    ):
+        path = empty_file_manifest(tmp_path, [("normal", "normal")] * 6)
+        dicts = ["--dp-dict", str(dictionaries[0])] if argv[0] == "encode" else []
+        out = tmp_path / "out" / "x"
+        assert cli.main([*argv, *dicts, "--manifest", path, "--task", "g3-g4",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["ramanfuse: data error: task g3-g4 selects no sample of the manifest"]
         assert not out.exists()
 
 
@@ -670,6 +732,16 @@ class TestConfigValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and argv[-2] in err[0]
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["cv", "train"])
+    def test_bad_setting_of_the_other_route_fails_before_any_cube_is_loaded(
+        self, manifest, tmp_path, no_cubes, capsys, command
+    ):
+        assert cli.main([
+            command, "--manifest", manifest, "--modality", "dp", "--pretreatment", "bogus",
+            "--out", str(tmp_path / "x"),
+        ]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ["train", "--c", "nan"],

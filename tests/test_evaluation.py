@@ -227,35 +227,35 @@ class TestCrossValidate:
         X, y, ids = grouped_dataset()
         lookup = {float(row[0]): label for row, label in zip(X, y)}
         report = ev.cross_validate(
-            X, y, folds_for(ids),
-            fit_fn=lambda *_: None,
-            score_fn=lambda _, rows: (
-                np.array([lookup[float(r[0])] for r in rows]),
-                np.array([float(lookup[float(r[0])]) for r in rows]),
+            y, folds_for(ids),
+            fit_fn=lambda train: None,
+            score_fn=lambda _, test: (
+                np.array([lookup[float(r[0])] for r in X[test]]),
+                np.array([float(lookup[float(r[0])]) for r in X[test]]),
             ),
         )
         assert report.fold_accuracies == (1.0,) * 5
         assert report.pooled_confusion.accuracy == 1.0
 
     def test_constant_classifier_matches_majority_share(self):
-        X, y, ids = grouped_dataset()
+        _, y, ids = grouped_dataset()
         report = ev.cross_validate(
-            X, y, folds_for(ids),
-            fit_fn=lambda *_: None,
-            score_fn=lambda _, rows: (np.ones(len(rows), dtype=int), np.full(len(rows), 0.5)),
+            y, folds_for(ids),
+            fit_fn=lambda train: None,
+            score_fn=lambda _, test: (np.ones(len(test), dtype=int), np.full(len(test), 0.5)),
         )
         assert report.pooled_confusion.accuracy == float(np.mean(y == 1))
         assert report.pooled_auc == 0.5
 
     def test_pooled_equals_fold_sum(self):
         rng = np.random.default_rng(6)
-        X, y, ids = grouped_dataset()
+        _, y, ids = grouped_dataset()
         report = ev.cross_validate(
-            X, y, folds_for(ids),
-            fit_fn=lambda *_: None,
-            score_fn=lambda _, rows: (
-                rng.integers(0, 2, len(rows)),
-                rng.normal(size=len(rows)),
+            y, folds_for(ids),
+            fit_fn=lambda train: None,
+            score_fn=lambda _, test: (
+                rng.integers(0, 2, len(test)),
+                rng.normal(size=len(test)),
             ),
         )
         total = sum(
@@ -331,14 +331,14 @@ class TestStudentT:
 
 class TestReportOutput:
     def make_report(self):
-        X, y, ids = grouped_dataset()
+        _, y, ids = grouped_dataset()
         rng = np.random.default_rng(7)
         return ev.cross_validate(
-            X, y, folds_for(ids),
-            fit_fn=lambda *_: None,
-            score_fn=lambda _, rows: (
-                rng.integers(0, 2, len(rows)),
-                rng.normal(size=len(rows)),
+            y, folds_for(ids),
+            fit_fn=lambda train: None,
+            score_fn=lambda _, test: (
+                rng.integers(0, 2, len(test)),
+                rng.normal(size=len(test)),
             ),
         )
 

@@ -39,6 +39,20 @@ def fold_plan(features):
                                  config.reference_fraction, features.seed)
 
 
+def spectra_features(medians, y):
+    """CohortFeatures over the given median spectra alone: one patient per
+    row, no image route and no reference row."""
+    records = tuple(dataio.SampleRecord(f"p{i}", f"s{i}", dataio.Label.NORMAL, "", "")
+                    for i in range(len(y)))
+    desc = experiments.CohortDescriptors(
+        dataio.CohortManifest(records, 0), np.asarray(y), {}, np.asarray(medians),
+        replace(CONFIG, reference_fraction=0.0),
+    )
+    features = experiments.partition_features(desc, seed=0)
+    assert len(features.reference_rows) == 0
+    return features
+
+
 def reference_patients(features):
     samples = features.descriptors.manifest.samples
     return evaluation.reference_pool(samples, features.config.reference_fraction,
@@ -285,27 +299,27 @@ class TestRoutes:
         assert all(0.0 <= a <= 1.0 for a in report.fold_aucs)
         assert 0.0 <= report.pooled_auc <= 1.0
 
-    def test_svm_fold_functions_emit_labels_and_probabilities(self, features):
-        fit, score = experiments.svm_fold_functions(
-            svm.SvmConfig(C=1.0, kernel="linear")
+    def test_svm_route_model_emits_labels_and_probabilities(self, features):
+        rows = np.arange(len(features.y))
+        model = experiments.RouteModel.fit(
+            features, "dp", rows, svm.SvmConfig(C=1.0, kernel="linear")
         )
-        X = features.matrix("dp")
-        model = fit(X, features.y)
-        labels, probs = score(model, X)
+        labels, probs = model.scores(features, rows)
         assert set(np.unique(labels)) <= {0, 1}
         assert len(labels) == len(probs) == len(features.y)
         assert np.all((probs >= 0.0) & (probs <= 1.0))
 
-    def test_pls_fold_functions_cap_the_component_count(self):
+    def test_pls_route_model_caps_the_component_count(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(6, 9))
         y = np.array([0, 1, 0, 1, 0, 1])
-        fit, score = experiments.pls_fold_functions(
-            spectral.parse_pretreatment("snv"), 50
+        features = spectra_features(X, y)
+        rows = np.arange(6)
+        model = experiments.RouteModel.fit(
+            features, "median-spectrum", rows, (spectral.parse_pretreatment("snv"), 50)
         )
-        fitted, model = fit(X, y)
-        assert model.n_lv <= 5
-        labels, scores = score((fitted, model), X)
+        assert model.classifier.n_lv <= 5
+        labels, scores = model.scores(features, rows)
         assert set(np.unique(labels)) <= {0, 1}
 
     def test_pls_cv_runs_with_reference_rows(self, features):
@@ -318,18 +332,18 @@ class TestRoutes:
         self, features, monkeypatch
     ):
         seen = {"fit": [], "score": []}
+        real_fit, real_apply = spectral.fit_pretreatment, spectral.FittedPretreatment.apply
 
-        def recording(pretreatment, n_lv):
-            def fit(X, y):
-                seen["fit"].append(X)
+        def fit(spec, X):
+            seen["fit"].append(X)
+            return real_fit(spec, X)
 
-            def score(model, X):
-                seen["score"].append(X)
-                return np.zeros(len(X), dtype=int), np.arange(len(X), dtype=float)
+        def apply(self, X):
+            seen["score"].append(X)
+            return real_apply(self, X)
 
-            return fit, score
-
-        monkeypatch.setattr(experiments, "pls_fold_functions", recording)
+        monkeypatch.setattr(spectral, "fit_pretreatment", fit)
+        monkeypatch.setattr(spectral.FittedPretreatment, "apply", apply)
         experiments.run_pls_cv(features, spectral.parse_pretreatment("snv"), 3)
         reference = features.descriptors.medians[features.reference_rows]
         assert len(reference)
