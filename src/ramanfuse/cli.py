@@ -20,6 +20,7 @@ import numpy as np
 from . import bovw, dataio, evaluation, experiments, plsda, spectral, svm, synth
 from .errors import (
     DataError, DimMismatch, MalformedFile, ModalityMismatch, NumericalError, SingleClass,
+    TooFewPatients,
 )
 from .seeds import derive_seed
 from .sift import DESCRIPTOR_LENGTH
@@ -232,24 +233,32 @@ def _out_dir(args) -> Path:
     return _make_dir(Path(args.out))
 
 
-def _check_fold_plans(manifest, args, cfg, seeds, roc: bool = False) -> None:
+def _check_fold_plans(records, y, cfg, seeds, roc: bool = False) -> None:
     """Deal every seed's folds from the task's records alone, so a cohort
     too small for them fails before any cube is loaded. Every fold's
     training rows must hold both classes, which a fit needs; with roc, its
     test rows must too (which implies the former), for its ROC."""
-    records, y = experiments.task_records(manifest, args.task)
-    task = replace(manifest, samples=tuple(records))
-    plans = [evaluation.plan_folds(task, cfg.folds, cfg.reference_fraction, seed)
+    plans = [evaluation.plan_folds(records, cfg.folds, cfg.reference_fraction, seed)
              for seed in seeds]
     side, need = ("test", "ROC") if roc else ("training", "a fit")
-    patients = np.array([record.patient_id for record in records])
-    for r, plan in enumerate(plans):
-        dealt = np.isin(patients, np.concatenate(plan.folds))
-        for f, fold in enumerate(plan.folds, start=1):
-            test = np.isin(patients, fold)
-            if len(np.unique(y[test if roc else dealt & ~test])) < 2:
+    for r, fold in enumerate(plans):
+        dealt = y[fold >= 0]
+        for f, (train, test) in enumerate(evaluation.fold_pairs(fold), start=1):
+            if len(np.unique(dealt[test if roc else train])) < 2:
                 raise SingleClass(f"reference set {r}, fold {f}: the {side} rows hold one "
                                   f"class only, and {need} needs both")
+
+
+def _reference_pool(records, args, cfg, seed) -> np.ndarray:
+    """The seed's reference-pool mask over the task's records. Dictionaries
+    are built from the pool's descriptors, so an empty pool fails before any
+    cube is loaded."""
+    pool = evaluation.reference_pool(records, cfg.reference_fraction, seed)
+    if not pool.any():
+        raise TooFewPatients(f"--reference-fraction {cfg.reference_fraction:g} puts no patient "
+                             f"of task {args.task} in the reference pool, which the "
+                             f"dictionaries are built from")
+    return pool
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -309,7 +318,7 @@ def _cmd_build_dict(args) -> int:
     k = args.k if args.k is not None else (cfg.k_dp if modality == "dp" else cfg.k_rci)
 
     records, _ = experiments.task_records(manifest, args.task)
-    keep = experiments.is_reference(records, cfg.reference_fraction, args.seed)
+    keep = _reference_pool(records, args, cfg, args.seed)
     reference = replace(manifest, samples=tuple(compress(records, keep)))
     desc = experiments.extract_cohort(reference, args.task, cfg, routes=(modality,))
     pooled = desc.pool(modality, range(len(desc.y)))
@@ -361,9 +370,18 @@ def _cmd_train(args) -> int:
     manifest = _load_task_manifest(args)
     out = _out_path(args, "model file")
     modality, settings = args.modality, _route_settings(args)
-    desc = experiments.extract_cohort(
-        manifest, args.task, _pipeline_config(args), routes=experiments.ROUTES[modality]
-    )
+    cfg = _pipeline_config(args)
+    records, y = experiments.task_records(manifest, args.task)
+    if modality == "median-spectrum":
+        which = "task"  # the PLS-DA fit reads the reference medians too
+    else:
+        which = "classification"
+        y = y[~_reference_pool(records, args, cfg, args.seed)]
+    if len(np.unique(y)) < 2:
+        raise SingleClass(f"task {args.task}: the {which} rows do not hold both classes, "
+                          f"which a fit needs")
+    desc = experiments.extract_cohort(manifest, args.task, cfg,
+                                      routes=experiments.ROUTES[modality])
     features = experiments.partition_features(desc, args.seed)
     n = len(features.y)
     model = experiments.RouteModel.fit(features, modality, np.arange(n), settings).classifier
@@ -382,7 +400,11 @@ def _cmd_cv(args) -> int:
     cfg = _pipeline_config(args)
     seeds = ([args.seed] if n_sets == 1
              else [derive_seed(args.seed, "reference-set", r) for r in range(n_sets)])
-    _check_fold_plans(manifest, args, cfg, seeds, roc=True)
+    records, y = experiments.task_records(manifest, task)
+    _check_fold_plans(records, y, cfg, seeds, roc=True)
+    if experiments.ROUTES[modality]:
+        for seed in seeds:
+            _reference_pool(records, args, cfg, seed)
     out = _out_dir(args)
     settings = _route_settings(args)
 
@@ -427,7 +449,9 @@ def _cmd_grid(args) -> int:
         [(k_dp, k_rci) for k_dp in args.dp_sizes for k_rci in args.rci_sizes],
         args.c_grid, args.gamma_grid, args.kernels,
     )
-    _check_fold_plans(manifest, args, cfg, [args.seed])
+    records, y = experiments.task_records(manifest, args.task)
+    _check_fold_plans(records, y, cfg, [args.seed])
+    _reference_pool(records, args, cfg, args.seed)
 
     desc = experiments.extract_cohort(manifest, args.task, cfg)
     features = experiments.partition_features(desc, args.seed, build_dictionaries=False)

@@ -16,13 +16,7 @@ from .seeds import rng_for
 # --- fold planning ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    folds: tuple          # k tuples of patient ids
-    reference_patients: tuple
-
-
-def reference_pool(samples, reference_fraction: float, seed: int = 0) -> tuple:
+def _draw(samples, reference_fraction: float, seed: int) -> tuple:
     """Seeded patient-level draw: (reference patients, the other patients),
     each in draw order. Shuffled patients join the reference pool until its
     sample count reaches round(reference_fraction * len(samples))."""
@@ -34,28 +28,41 @@ def reference_pool(samples, reference_fraction: float, seed: int = 0) -> tuple:
     while taken < target and idx < len(order):
         taken += counts[order[idx]]
         idx += 1
-    return tuple(order[:idx]), tuple(order[idx:])
+    return order[:idx], order[idx:]
 
 
-def plan_folds(manifest, k: int = 5, reference_fraction: float = 0.0, seed: int = 0) -> FoldPlan:
-    """The reference pool of reference_pool, plus k folds of the patients
-    left over: these are dealt largest-first onto the currently smallest
-    fold, so fold sample counts stay approximately balanced without
-    splitting any patient."""
-    reference, remaining = reference_pool(manifest.samples, reference_fraction, seed)
+def reference_pool(samples, reference_fraction: float, seed: int = 0) -> np.ndarray:
+    """Per sample, whether its patient is in the seed's reference pool."""
+    reference = set(_draw(samples, reference_fraction, seed)[0])
+    return np.array([record.patient_id in reference for record in samples], dtype=bool)
+
+
+def plan_folds(samples, k: int = 5, reference_fraction: float = 0.0, seed: int = 0) -> np.ndarray:
+    """Per sample, -1 for the reference pool of reference_pool, else its
+    fold 0..k-1. The patients left over are dealt largest-first, ties in
+    draw order, onto the currently smallest fold, so fold sample counts
+    stay approximately balanced without splitting any patient."""
+    reference, remaining = _draw(samples, reference_fraction, seed)
     if len(remaining) < k:
         raise TooFewPatients(
             f"{len(remaining)} patients left for {k} folds after the reference pool"
         )
-    counts = Counter(record.patient_id for record in manifest.samples)
-    by_size = sorted(range(len(remaining)), key=lambda i: (-counts[remaining[i]], i))
-    folds = [[] for _ in range(k)]
+    counts = Counter(record.patient_id for record in samples)
+    fold_of = dict.fromkeys(reference, -1)
     loads = [0] * k
-    for i in by_size:
-        dest = loads.index(min(loads))
-        folds[dest].append(remaining[i])
-        loads[dest] += counts[remaining[i]]
-    return FoldPlan(folds=tuple(tuple(f) for f in folds), reference_patients=reference)
+    for patient in sorted(remaining, key=lambda p: -counts[p]):
+        fold_of[patient] = loads.index(min(loads))
+        loads[fold_of[patient]] += counts[patient]
+    return np.array([fold_of[record.patient_id] for record in samples])
+
+
+def fold_pairs(fold: np.ndarray) -> list:
+    """(train, test) index pairs over the dealt rows (fold >= 0) of a
+    plan_folds array, one per fold: test is the fold's rows, train every
+    other dealt row."""
+    dealt = fold[fold >= 0]
+    return [(np.flatnonzero(dealt != f), np.flatnonzero(dealt == f))
+            for f in range(dealt.max() + 1)]
 
 
 # --- metrics ---------------------------------------------------------------------
@@ -177,7 +184,7 @@ def cross_validate(y: np.ndarray, folds, fit_fn, score_fn) -> EvalReport:
     the positive class.
 
     folds are (train indices, test indices) pairs into y, as from
-    experiments.plan_fold_indices; fit_fn(train) -> model;
+    fold_pairs; fit_fn(train) -> model;
     score_fn(model, test) -> (predicted labels, continuous scores).
     """
     y = np.asarray(y)

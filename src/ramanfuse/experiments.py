@@ -40,11 +40,10 @@ class PipelineConfig:
 
 def tissue_mask(cube) -> np.ndarray:
     """Background removal, spike/saturation flagging, then small-region
-    cleanup, combined into one keep-mask."""
+    cleanup of the pixels both keep."""
     background = imaging.background_mask(cube)
     keep = spectral.detect_bad_pixels(replace(cube, mask=background.mask))
-    cleaned = imaging.remove_small_regions(background.mask & keep)
-    return imaging.composite_mask(background.mask, keep, cleaned)
+    return imaging.remove_small_regions(background.mask & keep)
 
 
 def prepare_dp(img, size: int) -> GreyImage:
@@ -133,12 +132,6 @@ class CohortDescriptors:
         return np.concatenate([table[i] for i in rows] or [np.zeros((0, 128))])
 
 
-def is_reference(records, reference_fraction: float, seed: int) -> np.ndarray:
-    """Per record, whether its patient is in the seed's reference pool."""
-    reference = set(evaluation.reference_pool(records, reference_fraction, seed)[0])
-    return np.array([r.patient_id in reference for r in records], dtype=bool)
-
-
 @dataclass(frozen=True)
 class CohortFeatures:
     """One seeded reference split of a CohortDescriptors. Dictionaries come
@@ -150,7 +143,7 @@ class CohortFeatures:
 
     @cached_property
     def _is_reference(self) -> np.ndarray:
-        return is_reference(
+        return evaluation.reference_pool(
             self.descriptors.manifest.samples, self.config.reference_fraction, self.seed
         )
 
@@ -169,11 +162,6 @@ class CohortFeatures:
     @property
     def y(self) -> np.ndarray:
         return self.descriptors.y[self.classification_rows]
-
-    @property
-    def patient_ids(self) -> tuple:
-        samples = self.descriptors.manifest.samples
-        return tuple(samples[i].patient_id for i in self.classification_rows)
 
     @property
     def medians(self) -> np.ndarray:
@@ -323,11 +311,9 @@ def plan_fold_indices(features: CohortFeatures):
     of config.folds dealt from the patients outside the reference pool:
     test is the fold's patients' rows, train all other classification rows."""
     config = features.config
-    plan = evaluation.plan_folds(features.descriptors.manifest, config.folds,
-                                 config.reference_fraction, features.seed)
-    pids = np.asarray(features.patient_ids)
-    return [(np.flatnonzero(~test), np.flatnonzero(test))
-            for test in (np.isin(pids, fold) for fold in plan.folds)]
+    return evaluation.fold_pairs(evaluation.plan_folds(
+        features.descriptors.manifest.samples, config.folds, config.reference_fraction,
+        features.seed))
 
 
 # --- multi-seed benchmark ----------------------------------------------------------

@@ -11,7 +11,6 @@ from .dataio import GreyImage, HyperspectralCube, RgbImage
 from .errors import (
     ConstantCube,
     ConstantImage,
-    DimMismatch,
     EmptyMask,
     InputTooSmall,
     NumericalError,
@@ -33,9 +32,8 @@ def _round_u8(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PcaResult:
-    loadings: np.ndarray            # (n_components, n_bands), rows orthonormal
-    score_images: np.ndarray        # (n_components, H, W); masked-out pixels 0
-    explained_variance: np.ndarray  # fraction of total variance, non-increasing
+    loadings: np.ndarray      # (n_components, n_bands), rows orthonormal
+    score_images: np.ndarray  # (n_components, H, W); masked-out pixels 0
 
     @property
     def n_components(self) -> int:
@@ -65,6 +63,8 @@ def pca_scores(cube: HyperspectralCube, n_components: int) -> PcaResult:
     if not np.isfinite(scatter).all():
         raise NumericalError("the band scatter of the masked-in pixels is not finite in float64")
     eigenvalues, vectors = np.linalg.eigh(scatter)
+    if not np.isfinite(eigenvalues).all():
+        raise NumericalError("the eigenvalues of the band scatter are not finite in float64")
     pivot = np.argmax(np.abs(vectors), axis=0)
     keep = np.lexsort((pivot, -eigenvalues))[:n_components]
     loadings = vectors.T[keep]
@@ -74,11 +74,7 @@ def pca_scores(cube: HyperspectralCube, n_components: int) -> PcaResult:
 
     images = np.zeros((n_components,) + cube.mask.shape, dtype=np.float64)
     images[:, cube.mask] = loadings @ centred.T
-    total = float(np.trace(scatter))  # = ||c||_F^2, the summed pixel variance
-    explained = (
-        np.maximum(eigenvalues[keep], 0.0) / total if total > 0 else np.zeros(n_components)
-    )
-    return PcaResult(loadings, images, explained)
+    return PcaResult(loadings, images)
 
 
 # --- thresholding ----------------------------------------------------------
@@ -170,20 +166,6 @@ def remove_small_regions(mask: np.ndarray, min_pixels: int = MIN_REGION_PIXELS) 
             if size[find(rid)] >= min_pixels:
                 out[r, s:e] = True
     return out
-
-
-def composite_mask(
-    background: np.ndarray, bad_pixels: np.ndarray, small_regions: np.ndarray
-) -> np.ndarray:
-    """Logical AND of the background, bad-pixel and small-region masks."""
-    background = np.asarray(background, dtype=bool)
-    bad_pixels = np.asarray(bad_pixels, dtype=bool)
-    small_regions = np.asarray(small_regions, dtype=bool)
-    if not (background.shape == bad_pixels.shape == small_regions.shape):
-        raise DimMismatch(
-            f"mask shapes differ: {background.shape}, {bad_pixels.shape}, {small_regions.shape}"
-        )
-    return background & bad_pixels & small_regions
 
 
 # --- greyscale images -------------------------------------------------------

@@ -30,7 +30,7 @@ the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -82,7 +82,6 @@ class ScaleSpace:
     dogs: list            # per octave: (s+2, h, w) arrays
     deltas: list          # per octave: pixel size relative to the input image
     params: SiftParams
-    sigmas: np.ndarray = field(default=None)  # per-level sigma within an octave
 
 
 @lru_cache(maxsize=32)
@@ -113,8 +112,6 @@ def _blur_pass(img: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    if sigma <= 0:
-        return img.copy()
     kernel = _blur_kernel(sigma)
     return _blur_pass(_blur_pass(img, kernel, 1), kernel, 0)
 
@@ -152,7 +149,7 @@ def build_scale_space(img: GreyImage, params: SiftParams = SiftParams()) -> Scal
         delta *= 2.0
         if min(current.shape) < 4:
             break
-    return ScaleSpace(gaussians, dogs, deltas, params, LEVEL_SIGMAS)
+    return ScaleSpace(gaussians, dogs, deltas, params)
 
 
 _NEIGHBOURS = [

@@ -440,7 +440,6 @@ class GridEntry:
 class GridResult:
     best: GridEntry
     mean_accuracy: float
-    fold_accuracies: tuple
     rows: tuple  # one report row per configuration, enumeration order
 
 
@@ -598,7 +597,6 @@ def grid_search(
     return GridResult(
         best=entries[best_idx],
         mean_accuracy=best_mean,
-        fold_accuracies=rows[best_idx][4],
         rows=tuple(rows),
     )
 

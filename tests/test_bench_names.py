@@ -1,8 +1,9 @@
 """The benchmark calls into the package by name: the tracer
 (perfbench/tracer.py) wraps the public functions it lists in TRACED, and
 the workloads (perfbench/workloads.py) call package functions. Each of
-those names must still exist, and each workload call must still bind to
-its function's signature."""
+those names must still exist, each workload call must still bind to its
+function's signature, and each parameter a tracer annotator reads by name
+must still be a parameter of the functions it annotates."""
 import ast
 import importlib
 import importlib.util
@@ -66,3 +67,34 @@ def test_every_package_name_the_workloads_use_resolves_and_binds():
         except TypeError as exc:
             raise AssertionError(f"workloads.py line {call.lineno}: "
                                  f"{module_name}.{attr} {exc}") from None
+
+
+def annotator_reads():
+    """(module, attribute, names) for every TRACED entry with an annotator,
+    from perfbench/tracer.py's source alone: names are the parameter names
+    that annotator passes to _arg."""
+    tree = ast.parse(TRACER.read_text())
+    reads = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            calls = [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                     and isinstance(call.func, ast.Name) and call.func.id == "_arg"]
+            assert all(isinstance(call.args[3], ast.Constant) for call in calls)
+            reads[node.name] = {call.args[3].value for call in calls}
+    traced = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [target.id for target in node.targets] == ["TRACED"])
+    return [(module_name.value, attr.value, reads[annotator.id])
+            for module_name, attr, annotator in (entry.elts for entry in traced.elts)
+            if isinstance(annotator, ast.Name)]
+
+
+def test_every_parameter_an_annotator_reads_exists():
+    uses = annotator_reads()
+    assert {"path", "cube", "img", "descriptors", "dictionary"} == set().union(
+        *(names for _, _, names in uses))
+    for module_name, attr, names in uses:
+        owner = importlib.import_module(f"ramanfuse.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        missing = names - set(inspect.signature(owner).parameters)
+        assert not missing, f"ramanfuse.{module_name}.{attr} has no parameter {sorted(missing)}"

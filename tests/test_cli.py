@@ -5,6 +5,7 @@ import argparse
 import csv
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,6 +277,23 @@ class TestExitCodes:
         ]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "band scatter" in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--modality", "median-spectrum", "--out", "model.json"],
+        ["pls-select", "--n-repeats", "3", "--out", "selection.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_cube_whose_scatter_eigenvalues_overflow_is_a_one_line_numerical_failure(
+        self, tmp_path, capsys, argv
+    ):
+        cohort = synth.generate(synth.SynthSpec(n_patients=8, n_samples=24, seed=1), tmp_path)
+        path = cohort.samples[0].rci_path
+        cube = dataio.load_cube(path)
+        dataio.save_cube(dataio.HyperspectralCube(cube.wavenumbers, cube.data * 1e150), path)
+        argv[-1] = str(tmp_path / "out" / argv[-1])
+        assert cli.main([*argv, "--manifest", str(tmp_path / synth.MANIFEST_NAME)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["ramanfuse: numerical failure: the eigenvalues of the band scatter "
+                       "are not finite in float64"]
 
     @pytest.mark.parametrize("seed", ["x", 1.5, False])
     def test_manifest_seed_that_is_not_an_integer_is_a_data_error(
@@ -554,6 +572,39 @@ class TestTrain:
         assert model.n_lv >= 1
         assert model.beta.shape == (32,)
 
+    @pytest.mark.parametrize("modality", experiments.MODALITIES)
+    def test_single_class_fitting_rows_fail_before_any_file_is_read(
+        self, tmp_path, no_cubes, capsys, modality
+    ):
+        path = empty_file_manifest(tmp_path, [("normal", "normal")] * 6)
+        out = tmp_path / "model.json"
+        assert cli.main(["train", "--manifest", path, "--modality", modality,
+                         "--out", str(out)]) == 2
+        rows = "task" if modality == "median-spectrum" else "classification"
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ramanfuse: data error: task nc-c: the {rows} rows do not hold both "
+                       f"classes, which a fit needs"]
+        assert not out.exists()
+
+    def test_cancer_only_in_the_reference_pool_fails_only_the_bovw_fits(
+        self, tmp_path, no_cubes, capsys
+    ):
+        normal = [("normal", "normal")] * 6
+        records = dataio.load_manifest(empty_file_manifest(tmp_path, normal)).samples
+        pool = evaluation.reference_pool(records, cli._PIPELINE.reference_fraction, 0)
+        reference = {record.patient_id for record, ref in zip(records, pool) if ref}
+        assert 0 < len(reference) < len(normal)
+        labels = [("g3", "normal") if f"p{p}" in reference else patient
+                  for p, patient in enumerate(normal)]
+        path = empty_file_manifest(tmp_path, labels)
+        argv = ["train", "--manifest", path, "--out", str(tmp_path / "model.json")]
+        assert cli.main([*argv, "--modality", "dp"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "the classification rows do not hold both classes" in err[0]
+        # The PLS-DA fit reads the reference medians too: the check passes.
+        with pytest.raises(AssertionError, match="a cube was loaded"):
+            cli.main([*argv, "--modality", "median-spectrum"])
+
 
 class TestCrossValidation:
     def test_report_files_and_summary_row(self, cv_fused_dir):
@@ -632,6 +683,35 @@ class TestCrossValidation:
         assert len(err) == 1 and "reference set 0, fold " in err[0]
         assert "the test rows hold one class only" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cv", "--modality", "dp", "--k-dp", "4"],
+        ["grid", "--dp-sizes", "4", "--rci-sizes", "2", "--kernels", "linear", "--c-grid", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_up_front_fold_check_tests_the_pairs_the_fits_use(
+        self, tmp_path, monkeypatch, argv
+    ):
+        synth.generate(replace(CV_COHORT, dp_size=96, rci_size=24), tmp_path)
+        pairs, planned = [], []
+        real_pairs, real_plan = evaluation.fold_pairs, experiments.plan_fold_indices
+
+        def fold_pairs(fold):
+            pairs.append(real_pairs(fold))
+            return pairs[-1]
+
+        def plan_fold_indices(features):
+            planned.append(real_plan(features))
+            return planned[-1]
+
+        monkeypatch.setattr(evaluation, "fold_pairs", fold_pairs)
+        monkeypatch.setattr(experiments, "plan_fold_indices", plan_fold_indices)
+        assert cli.main([*argv, "--manifest", str(tmp_path / synth.MANIFEST_NAME), "--folds",
+                         "2", *SIZE_FLAGS, "--out", str(tmp_path / "out" / "x")]) == 0
+        checked, fitted = pairs
+        assert planned == [fitted]
+        assert len(checked) == len(fitted) == 2
+        for (train, test), (fit_train, fit_test) in zip(checked, fitted):
+            assert np.array_equal(train, fit_train) and np.array_equal(test, fit_test)
 
     def test_grid_with_a_single_class_training_fold_fails_before_any_file_is_read(
         self, tmp_path, no_cubes, capsys
@@ -856,6 +936,30 @@ class TestConfigValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "8 patients left for 9 folds" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["build-dict", "--modality", "rci"], ["train", "--modality", "rci", "--k-rci", "5"],
+        ["cv", "--modality", "rci", "--k-rci", "5", "--folds", "2"], ["grid", "--folds", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_empty_reference_pool_fails_before_any_file_is_read(
+        self, tmp_path, no_cubes, capsys, argv
+    ):
+        # round(0.01 * 24) = 0 samples: no patient joins the reference pool.
+        path = empty_file_manifest(tmp_path, [("normal", "g3", "g4")] * 8)
+        out = tmp_path / "out" / "x"
+        assert cli.main([*argv, "--manifest", path, "--reference-fraction", "0.01",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["ramanfuse: data error: --reference-fraction 0.01 puts no patient of "
+                       "task nc-c in the reference pool, which the dictionaries are built from"]
+        assert not out.exists()
+
+    def test_median_spectrum_cv_needs_no_reference_pool(self, tmp_path, no_cubes):
+        path = empty_file_manifest(tmp_path, [("normal", "g3", "g4")] * 8)
+        # Past the up-front checks, cv reads the first cube.
+        with pytest.raises(AssertionError, match="a cube was loaded"):
+            cli.main(["cv", "--modality", "median-spectrum", "--manifest", path, "--folds", "2",
+                      "--reference-fraction", "0.01", "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("command, flag", [
         ("build-dict", "folds"), ("train", "folds"), ("grid", "k-dp"), ("grid", "k-rci"),

@@ -30,35 +30,43 @@ def make_manifest(counts: dict) -> CohortManifest:
     return CohortManifest(samples=tuple(records), seed=0)
 
 
+def patient_folds(samples, fold) -> dict:
+    """Patient id -> the one fold label plan_folds gave all of its rows."""
+    labels = {}
+    for record, f in zip(samples, fold.tolist(), strict=True):
+        assert labels.setdefault(record.patient_id, f) == f, "a patient is split"
+    return labels
+
+
 class TestFoldPlan:
     def test_five_patients_one_per_fold(self):
-        plan = ev.plan_folds(make_manifest({f"p{i}": 1 for i in range(5)}), k=5, seed=0)
-        assert sorted(len(f) for f in plan.folds) == [1, 1, 1, 1, 1]
-        assert plan.reference_patients == ()
+        fold = ev.plan_folds(make_manifest({f"p{i}": 1 for i in range(5)}).samples, k=5, seed=0)
+        assert sorted(np.bincount(fold, minlength=5)) == [1, 1, 1, 1, 1]
+        assert not (fold == -1).any()
 
     @pytest.mark.parametrize("reference_fraction", [0.0, 0.3, 0.6])
     @pytest.mark.parametrize("k", [2, 5])
     def test_partition_invariants(self, k, reference_fraction):
-        """Reference patients and fold patients never overlap, and together
-        they are every patient once (no command checks this at run time)."""
+        """Every row is labelled with the reference pool (-1) or one of the
+        k folds, each fold is used, and no patient is split between labels
+        (no command checks this at run time)."""
         rng = np.random.default_rng(0)
         for seed in range(10):
             counts = {f"p{i}": int(rng.integers(1, 9)) for i in range(30)}
             manifest = make_manifest(counts)
-            plan = ev.plan_folds(manifest, k=k, reference_fraction=reference_fraction, seed=seed)
-            assert len(plan.folds) == k and all(plan.folds)
-            seen = list(plan.reference_patients) + [p for fold in plan.folds for p in fold]
-            assert len(seen) == len(set(seen))
-            assert set(seen) == set(counts)
-            for fold in plan.folds:
-                assert not set(fold) & set(plan.reference_patients)
+            fold = ev.plan_folds(manifest.samples, k=k, reference_fraction=reference_fraction,
+                                 seed=seed)
+            assert fold.shape == (len(manifest.samples),)
+            assert set(fold.tolist()) <= set(range(-1, k))
+            assert all((fold == f).any() for f in range(k))
+            assert set(patient_folds(manifest.samples, fold)) == set(counts)
 
     def test_too_few_patients(self):
         with pytest.raises(TooFewPatients):
-            ev.plan_folds(make_manifest({f"p{i}": 2 for i in range(4)}), k=5, seed=0)
+            ev.plan_folds(make_manifest({f"p{i}": 2 for i in range(4)}).samples, k=5, seed=0)
         with pytest.raises(TooFewPatients):
             ev.plan_folds(
-                make_manifest({f"p{i}": 2 for i in range(6)}),
+                make_manifest({f"p{i}": 2 for i in range(6)}).samples,
                 k=5, reference_fraction=0.5, seed=0,
             )
 
@@ -68,43 +76,48 @@ class TestFoldPlan:
         manifest = make_manifest(counts)
         found = False
         for seed in range(300):
-            plan = ev.plan_folds(manifest, k=5, reference_fraction=52 / 179, seed=seed)
-            n_ref = sum(counts[p] for p in plan.reference_patients)
-            if n_ref == 52:
+            fold = ev.plan_folds(manifest.samples, k=5, reference_fraction=52 / 179, seed=seed)
+            if (fold == -1).sum() == 52:
                 found = True
-                n_folds = sum(counts[p] for f in plan.folds for p in f)
-                assert n_folds == 127
+                assert (fold >= 0).sum() == 127
                 break
         assert found
 
     def test_fold_balance(self):
         rng = np.random.default_rng(1)
         counts = {f"p{i}": int(rng.integers(1, 9)) for i in range(24)}
-        plan = ev.plan_folds(make_manifest(counts), k=5, seed=3)
-        loads = [sum(counts[p] for p in fold) for fold in plan.folds]
+        fold = ev.plan_folds(make_manifest(counts).samples, k=5, seed=3)
+        loads = np.bincount(fold, minlength=5)
         assert max(loads) - min(loads) <= max(counts.values())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_plan_deals_its_folds_from_what_the_reference_pool_leaves(self, seed):
         rng = np.random.default_rng(seed)
         manifest = make_manifest({f"p{i}": int(rng.integers(1, 9)) for i in range(20)})
-        reference, rest = ev.reference_pool(manifest.samples, 0.3, seed)
-        plan = ev.plan_folds(manifest, k=4, reference_fraction=0.3, seed=seed)
-        assert plan.reference_patients == reference
-        assert sorted(p for fold in plan.folds for p in fold) == sorted(rest)
+        reference = ev.reference_pool(manifest.samples, 0.3, seed)
+        fold = ev.plan_folds(manifest.samples, k=4, reference_fraction=0.3, seed=seed)
+        assert reference.dtype == bool and reference.any()
+        assert np.array_equal(fold == -1, reference)
 
     def test_reference_pool_needs_no_fold_count(self):
         manifest = make_manifest({f"p{i}": 2 for i in range(6)})
-        reference, rest = ev.reference_pool(manifest.samples, 0.5, 0)
-        assert len(reference) == len(rest) == 3
+        reference = ev.reference_pool(manifest.samples, 0.5, 0)
+        pool = {r.patient_id for r, ref in zip(manifest.samples, reference) if ref}
+        assert len(pool) == 3 and reference.sum() == 6
         with pytest.raises(TooFewPatients, match="3 patients left for 5 folds"):
-            ev.plan_folds(manifest, k=5, reference_fraction=0.5, seed=0)
+            ev.plan_folds(manifest.samples, k=5, reference_fraction=0.5, seed=0)
 
     def test_deterministic(self):
         manifest = make_manifest({f"p{i}": 3 for i in range(15)})
-        a = ev.plan_folds(manifest, k=5, reference_fraction=0.2, seed=9)
-        b = ev.plan_folds(manifest, k=5, reference_fraction=0.2, seed=9)
-        assert a == b
+        a = ev.plan_folds(manifest.samples, k=5, reference_fraction=0.2, seed=9)
+        b = ev.plan_folds(manifest.samples, k=5, reference_fraction=0.2, seed=9)
+        assert np.array_equal(a, b)
+
+    def test_fold_pairs_index_the_dealt_rows(self):
+        pairs = ev.fold_pairs(np.array([1, -1, 0, 1, -1, 0, 2]))
+        assert [(train.tolist(), test.tolist()) for train, test in pairs] == [
+            ([0, 2, 4], [1, 3]), ([1, 3, 4], [0, 2]), ([0, 1, 2, 3], [4]),
+        ]
 
 
 class TestConfusion:
@@ -217,9 +230,8 @@ def folds_for(ids):
     manifest = make_manifest(
         {pid: int((np.asarray(ids) == pid).sum()) for pid in dict.fromkeys(ids)}
     )
-    plan = ev.plan_folds(manifest, k=5, seed=0)
-    in_fold = [np.isin(ids, fold) for fold in plan.folds]
-    return [(np.flatnonzero(~test), np.flatnonzero(test)) for test in in_fold]
+    assert [r.patient_id for r in manifest.samples] == list(ids)
+    return ev.fold_pairs(ev.plan_folds(manifest.samples, k=5, seed=0))
 
 
 class TestCrossValidate:

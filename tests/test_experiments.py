@@ -34,9 +34,15 @@ def features(descriptors):
 
 
 def fold_plan(features):
+    """plan_folds' label per task row: -1 reference pool, else the fold."""
     config = features.config
-    return evaluation.plan_folds(features.descriptors.manifest, config.folds,
+    return evaluation.plan_folds(features.descriptors.manifest.samples, config.folds,
                                  config.reference_fraction, features.seed)
+
+
+def patients(features, rows):
+    samples = features.descriptors.manifest.samples
+    return {samples[i].patient_id for i in rows}
 
 
 def spectra_features(medians, y):
@@ -55,8 +61,9 @@ def spectra_features(medians, y):
 
 def reference_patients(features):
     samples = features.descriptors.manifest.samples
-    return evaluation.reference_pool(samples, features.config.reference_fraction,
-                                     features.seed)[0]
+    pool = evaluation.reference_pool(samples, features.config.reference_fraction,
+                                     features.seed)
+    return patients(features, np.flatnonzero(pool))
 
 
 class TestPreparation:
@@ -202,9 +209,10 @@ class TestTwoStageFeatures:
         assert n_cls + n_ref == len(descriptors.y)
         reference = set(reference_patients(features))
         assert reference
-        assert not reference.intersection(features.patient_ids)
-        for fold in fold_plan(features).folds:
-            assert not reference.intersection(fold)
+        assert not reference.intersection(patients(features, features.classification_rows))
+        fold = fold_plan(features)
+        for f in range(features.config.folds):
+            assert not reference.intersection(patients(features, np.flatnonzero(fold == f)))
 
     def test_reference_pools_match_reference_rows(self, features, descriptors):
         reference = set(reference_patients(features))
@@ -222,7 +230,7 @@ class TestTwoStageFeatures:
         samples = descriptors.manifest.samples
         assert np.array_equal(features.y, descriptors.y[rows])
         assert np.array_equal(features.medians, descriptors.medians[rows])
-        assert features.patient_ids == tuple(samples[i].patient_id for i in rows)
+        assert np.array_equal(rows, np.flatnonzero(fold_plan(features) >= 0))
         assert sorted(rows.tolist() + features.reference_rows.tolist()) == list(
             range(len(samples))
         )
@@ -278,11 +286,12 @@ class TestFoldIndices:
         assert np.all(seen == 1)
 
     def test_test_rows_are_the_rows_of_the_planned_folds(self, features):
-        pids = np.asarray(features.patient_ids)
+        rows = features.classification_rows
         folds = experiments.plan_fold_indices(features)
-        plan = fold_plan(features)
-        for (_, test), patients in zip(folds, plan.folds, strict=True):
-            assert set(pids[test]) == set(patients)
+        fold = fold_plan(features)
+        assert len(folds) == fold.max() + 1
+        for f, (_, test) in enumerate(folds):
+            assert patients(features, rows[test]) == patients(features, np.flatnonzero(fold == f))
 
     def test_fold_count_is_read_only_where_folds_are_dealt(self, descriptors, features):
         three = replace(descriptors, config=replace(CONFIG, folds=3))

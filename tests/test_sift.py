@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ramanfuse import sift
 from ramanfuse.dataio import GreyImage
 from ramanfuse.errors import ImageTooSmall
 from ramanfuse.imaging import resize_cubic
@@ -75,7 +76,8 @@ class TestScaleSpace:
     def test_level_sigma_progression(self):
         space = build_scale_space(GreyImage(np.zeros((32, 32), dtype=np.uint8)))
         expect = [1.6, 2.016, 2.540, 3.200, 4.032, 5.080]
-        assert np.allclose(space.sigmas, expect, atol=5e-4)
+        assert np.allclose(sift.LEVEL_SIGMAS, expect, atol=5e-4)
+        assert space.gaussians[0].shape[0] == len(sift.LEVEL_SIGMAS)
 
     def test_octave_halves_resolution(self):
         space = build_scale_space(GreyImage(np.zeros((64, 48), dtype=np.uint8)))
@@ -94,7 +96,7 @@ class TestScaleSpace:
             r = int(round(32.0 / delta))
             for layer in range(dog.shape[0]):
                 value = abs(dog[layer, r, r])
-                sigma = space.sigmas[layer] * delta
+                sigma = sift.LEVEL_SIGMAS[layer] * delta
                 if best is None or value > best[0]:
                     best = (value, sigma)
         step = 2 ** (1 / 3)

@@ -794,7 +794,9 @@ class TestGolden:
         )
         assert np.array_equal([row[4] for row in result.rows], gold["grid_accuracies"])
         assert np.array_equal([row[5] for row in result.rows], gold["grid_means"])
-        key, kernel, c, _, accs, _ = result.rows[int(gold["grid_best"])]
+        best_row = int(gold["grid_best"])
+        key, kernel, c, _, accs, mean = result.rows[best_row]
         best = result.best
         assert (best.feature_key, best.config.kernel, best.config.C) == (key, kernel, c)
-        assert result.fold_accuracies == accs
+        assert np.array_equal(accs, gold["grid_accuracies"][best_row])
+        assert result.mean_accuracy == mean
