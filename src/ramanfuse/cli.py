@@ -20,7 +20,7 @@ import numpy as np
 from . import bovw, dataio, evaluation, experiments, plsda, spectral, svm, synth
 from .errors import (
     DataError, DimMismatch, MalformedFile, ModalityMismatch, NumericalError, SingleClass,
-    TooFewPatients,
+    SpectrumTooShort, TooFewPatients,
 )
 from .seeds import derive_seed
 from .sift import DESCRIPTOR_LENGTH
@@ -366,6 +366,13 @@ def _cmd_encode(args) -> int:
     return 0
 
 
+def _check_both_classes(task: str, which: str, y) -> None:
+    """Fail before any cube is read when the rows a fit reads hold one class."""
+    if len(np.unique(y)) < 2:
+        raise SingleClass(f"task {task}: the {which} rows do not hold both classes, "
+                          f"which a fit needs")
+
+
 def _cmd_train(args) -> int:
     manifest = _load_task_manifest(args)
     out = _out_path(args, "model file")
@@ -377,9 +384,7 @@ def _cmd_train(args) -> int:
     else:
         which = "classification"
         y = y[~_reference_pool(records, args, cfg, args.seed)]
-    if len(np.unique(y)) < 2:
-        raise SingleClass(f"task {args.task}: the {which} rows do not hold both classes, "
-                          f"which a fit needs")
+    _check_both_classes(args.task, which, y)
     desc = experiments.extract_cohort(manifest, args.task, cfg,
                                       routes=experiments.ROUTES[modality])
     features = experiments.partition_features(desc, args.seed)
@@ -487,9 +492,14 @@ def _cmd_pls_select(args) -> int:
     if args.pretreatments == []:
         raise _UsageError("an empty menu is not valid for --pretreatments")
     menu = [spectral.parse_pretreatment(m) for m in args.pretreatments or ()]
+    _check_both_classes(args.task, "task", experiments.task_records(manifest, args.task)[1])
     desc = experiments.extract_cohort(manifest, args.task, routes=())
+    n_bands = desc.medians.shape[1]
+    for chain in menu:
+        if chain.min_length > n_bands:
+            raise SpectrumTooShort(f"pretreatment {chain} needs spectra of at least "
+                                   f"{chain.min_length} bands, but the cohort's have {n_bands}")
     if args.pretreatments is None:
-        n_bands = desc.medians.shape[1]
         full = spectral.standard_menu()
         menu = [m for m in full if m.min_length <= n_bands]
         if len(menu) < len(full):

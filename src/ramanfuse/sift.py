@@ -7,19 +7,32 @@ rejection, 36-bin orientation assignment and 4x4x8 trilinearly pooled
 gradient descriptors. All parameter defaults are the canonical published
 values; nothing here is data-dependent or random.
 
-The work is batched per pyramid level rather than per keypoint:
+No work is done whose result ``extract`` always throws away:
 
-* extrema: the six face neighbours are compared over the whole DoG stack,
-  the other twenty only at the points that beat all six;
+* octave floor: a keypoint keeps a descriptor only when its descriptor
+  window, plus the one-pixel ring its gradients read, lies inside the
+  octave image. A refined keypoint sits above layer 0.5, so that window is
+  at least ``MIN_OCTAVE_SIDE`` pixels wide, and the pyramid builds no octave
+  below that side (the first octave is always built);
+* gradient box: gradient magnitude and angle are computed only over the
+  bounding box of one level's descriptor windows, which holds their
+  orientation windows too.
+
+The rest is batched per pyramid level rather than per keypoint:
+
+* scale space: each blur pass writes into a preallocated buffer, the
+  second pass straight into the octave stack;
+* extrema: the four in-plane neighbours are compared over the whole DoG
+  stack, the other twenty-two only at the points that beat all four;
 * refinement: all extrema of an octave together, one stacked 3x3 solve
   per move;
-* gradients: magnitude and angle once per (octave, layer) level;
 * orientation histograms and descriptors: all keypoints of a level at
   once, in chunks of about ``CHUNK_PIXELS`` window pixels. Orientation
   bins come from one ``np.bincount`` per chunk, descriptor bins from one
   flat ``np.add.at`` per trilinear pass per chunk, so every bin sums its
   terms in the order a keypoint-at-a-time computation would, and the
-  results are bit-identical to it;
+  results are bit-identical to it; histogram smoothing and descriptor
+  norms are per-level array operations with the per-keypoint arithmetic;
 * ``extract`` drops keypoints whose descriptor window leaves the octave
   image before assigning orientations: that test does not depend on
   orientation.
@@ -30,8 +43,9 @@ the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -52,6 +66,25 @@ EDGE_RATIO_THRESHOLD = 10.0
 ASSUMED_BLUR = 0.5  # blur already present in the input image
 # per-level sigma within an octave: s+3 levels, geometrically spaced
 LEVEL_SIGMAS = BASE_SIGMA * 2.0 ** (np.arange(SCALES_PER_OCTAVE + 3) / SCALES_PER_OCTAVE)
+
+
+def _orientation_radius(octave_scale):
+    """Half side of the orientation window, in octave pixels."""
+    return np.rint(3.0 * (1.5 * octave_scale)).astype(np.int64)
+
+
+def _descriptor_half(octave_scale):
+    """Half side of the descriptor window, in octave pixels; never below
+    the orientation radius, so the descriptor window holds the orientation
+    window."""
+    hist_width = 3.0 * octave_scale
+    return np.rint(hist_width * math.sqrt(2) * (DESCRIPTOR_GRID + 1) * 0.5).astype(np.int64)
+
+
+# A refined keypoint lies above layer 0.5 of its octave, and its descriptor
+# window plus the one-pixel ring its gradients read must fit in the octave:
+# no smaller octave can keep a descriptor.
+MIN_OCTAVE_SIDE = 2 * int(_descriptor_half(BASE_SIGMA * 2.0 ** (0.5 / SCALES_PER_OCTAVE))) + 3
 
 
 @dataclass(frozen=True)
@@ -94,32 +127,37 @@ def _blur_kernel(sigma: float) -> np.ndarray:
     return kernel
 
 
-def _blur_pass(img: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Kernel along one axis of a 2-D image, edges replicated: one padded
-    buffer, and a window view with sliding_window_view's shape and strides
-    (window last, stepping along axis)."""
-    radius = kernel.size // 2
-    n = img.shape[axis]
-    shape = list(img.shape)
-    shape[axis] += 2 * radius
-    pad = np.empty(shape)
-    rows, src = np.moveaxis(pad, axis, 0), np.moveaxis(img, axis, 0)
-    rows[radius:radius + n] = src
-    rows[:radius] = src[:1]
-    rows[radius + n:] = src[-1:]
-    windows = as_strided(pad, img.shape + (kernel.size,), pad.strides + (pad.strides[axis],))
-    return windows @ kernel
+def _window_pass(pad: np.ndarray, kernel: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Kernel along one axis of a buffer padded by its radius on both ends
+    of that axis, into out: a window view with sliding_window_view's shape
+    and strides (window last, stepping along axis)."""
+    windows = as_strided(pad, out.shape + (kernel.size,), pad.strides + (pad.strides[axis],))
+    return np.matmul(windows, kernel, out=out)
 
 
-def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+def _gaussian_blur(img: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
+    """Separable blur with edges replicated, into out: the row pass writes
+    into the middle of the column pass's padded buffer."""
     kernel = _blur_kernel(sigma)
-    return _blur_pass(_blur_pass(img, kernel, 1), kernel, 0)
+    radius = kernel.size // 2
+    h, w = img.shape
+    rows = np.empty((h, w + 2 * radius))
+    rows[:, radius:radius + w] = img
+    rows[:, :radius] = img[:, :1]
+    rows[:, radius + w:] = img[:, -1:]
+    cols = np.empty((h + 2 * radius, w))
+    _window_pass(rows, kernel, 1, cols[radius:radius + h])
+    cols[:radius] = cols[radius]
+    cols[radius + h:] = cols[radius + h - 1]
+    return _window_pass(cols, kernel, 0, out)
 
 
 def build_scale_space(img: GreyImage, params: SiftParams = SiftParams()) -> ScaleSpace:
     """Gaussian and DoG pyramids. Per octave there are s+3 Gaussian levels
     with geometrically spaced sigmas; each next octave halves the resolution
-    starting from the level at exactly twice the base sigma."""
+    starting from the level at exactly twice the base sigma. The first
+    octave is always built; a later one only when its shorter side is at
+    least MIN_OCTAVE_SIDE."""
     if min(img.height, img.width) < 16:
         raise ImageTooSmall(f"need at least 16x16, got {img.width}x{img.height}")
     base = img.pixels.astype(np.float64) / 255.0
@@ -130,25 +168,23 @@ def build_scale_space(img: GreyImage, params: SiftParams = SiftParams()) -> Scal
         delta = 0.5
         blur *= 2.0
     seed_sigma = math.sqrt(max(BASE_SIGMA**2 - blur**2, 0.01))
-    base = _gaussian_blur(base, seed_sigma)
-
-    n_octaves = max(1, int(math.floor(math.log2(min(base.shape)))) - 2)
     increments = np.sqrt(np.diff(LEVEL_SIGMAS**2))
 
     gaussians, dogs, deltas = [], [], []
-    current = base
-    for _ in range(n_octaves):
-        levels = [current]
-        for inc in increments:
-            levels.append(_gaussian_blur(levels[-1], inc))
-        stack = np.stack(levels)
+    stack = np.empty((len(LEVEL_SIGMAS),) + base.shape)
+    _gaussian_blur(base, seed_sigma, stack[0])
+    while True:
+        for i, inc in enumerate(increments):
+            _gaussian_blur(stack[i], inc, stack[i + 1])
         gaussians.append(stack)
         dogs.append(stack[1:] - stack[:-1])
         deltas.append(delta)
-        current = levels[SCALES_PER_OCTAVE][::2, ::2]
-        delta *= 2.0
-        if min(current.shape) < 4:
+        start = stack[SCALES_PER_OCTAVE, ::2, ::2]
+        if min(start.shape) < MIN_OCTAVE_SIDE:
             break
+        stack = np.empty((len(LEVEL_SIGMAS),) + start.shape)
+        stack[0] = start
+        delta *= 2.0
     return ScaleSpace(gaussians, dogs, deltas, params)
 
 
@@ -159,20 +195,20 @@ _NEIGHBOURS = [
     for dc in (-1, 0, 1)
     if (dl, dr, dc) != (0, 0, 0)
 ]
-_FACES = [o for o in _NEIGHBOURS if sum(map(abs, o)) == 1]
+_IN_PLANE = [(0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]
 
 
 def _local_extrema(dog: np.ndarray, floor: float) -> np.ndarray:
     """(layer, row, col) indices of strict 26-neighbour extrema with
     |value| above the prefilter floor. Indices refer to the full arrays.
 
-    The six face neighbours are compared over the whole stack; the other
-    twenty only at the few points that beat all six."""
+    The four in-plane neighbours are compared over the whole stack; the
+    other twenty-two only at the few points that beat all four."""
     n_l, h, w = dog.shape
     centre = dog[1:-1, 1:-1, 1:-1]
     is_max = np.abs(centre) > floor
     is_min = is_max.copy()
-    for dl, dr, dc in _FACES:
+    for dl, dr, dc in _IN_PLANE:
         nb = dog[1 + dl:n_l - 1 + dl, 1 + dr:h - 1 + dr, 1 + dc:w - 1 + dc]
         is_max &= centre > nb
         is_min &= centre < nb
@@ -183,40 +219,37 @@ def _local_extrema(dog: np.ndarray, floor: float) -> np.ndarray:
     flat = np.ravel_multi_index(points.T, dog.shape)
     values = flat_dog[flat]
     for dl, dr, dc in _NEIGHBOURS:
-        if (dl, dr, dc) not in _FACES:
+        if (dl, dr, dc) not in _IN_PLANE:
             nb = flat_dog[flat + (dl * h + dr) * w + dc]
             is_max &= values > nb
             is_min &= values < nb
     return points[is_max | is_min]
 
 
+_CUBE_OFFSETS = np.indices((3, 3, 3)).reshape(3, -1).T - 1  # (27, 3), row-major
+
+
 def _taylor(d: np.ndarray, layer, row, col):
     """Central-difference gradient (n, 3) and Hessian (n, 3, 3) of the DoG
     stack at integer points, in (layer, row, col) order."""
+    _, h, w = d.shape
+    flat = (layer * h + row) * w + col
+    cube = d.ravel()[flat[:, None] + _CUBE_OFFSETS @ [h * w, w, 1]].reshape(-1, 3, 3, 3)
+
+    def at(dl, dr, dc):
+        return cube[:, 1 + dl, 1 + dr, 1 + dc]
+
     grad = 0.5 * np.stack(
-        [
-            d[layer + 1, row, col] - d[layer - 1, row, col],
-            d[layer, row + 1, col] - d[layer, row - 1, col],
-            d[layer, row, col + 1] - d[layer, row, col - 1],
-        ],
+        [at(1, 0, 0) - at(-1, 0, 0), at(0, 1, 0) - at(0, -1, 0), at(0, 0, 1) - at(0, 0, -1)],
         axis=1,
     )
-    centre = d[layer, row, col]
-    hll = d[layer + 1, row, col] + d[layer - 1, row, col] - 2 * centre
-    hrr = d[layer, row + 1, col] + d[layer, row - 1, col] - 2 * centre
-    hcc = d[layer, row, col + 1] + d[layer, row, col - 1] - 2 * centre
-    hlr = 0.25 * (
-        d[layer + 1, row + 1, col] - d[layer + 1, row - 1, col]
-        - d[layer - 1, row + 1, col] + d[layer - 1, row - 1, col]
-    )
-    hlc = 0.25 * (
-        d[layer + 1, row, col + 1] - d[layer + 1, row, col - 1]
-        - d[layer - 1, row, col + 1] + d[layer - 1, row, col - 1]
-    )
-    hrc = 0.25 * (
-        d[layer, row + 1, col + 1] - d[layer, row + 1, col - 1]
-        - d[layer, row - 1, col + 1] + d[layer, row - 1, col - 1]
-    )
+    centre = at(0, 0, 0)
+    hll = at(1, 0, 0) + at(-1, 0, 0) - 2 * centre
+    hrr = at(0, 1, 0) + at(0, -1, 0) - 2 * centre
+    hcc = at(0, 0, 1) + at(0, 0, -1) - 2 * centre
+    hlr = 0.25 * (at(1, 1, 0) - at(1, -1, 0) - at(-1, 1, 0) + at(-1, -1, 0))
+    hlc = 0.25 * (at(1, 0, 1) - at(1, 0, -1) - at(-1, 0, 1) + at(-1, 0, -1))
+    hrc = 0.25 * (at(0, 1, 1) - at(0, 1, -1) - at(0, -1, 1) + at(0, -1, -1))
     hessian = np.stack(
         [hll, hlr, hlc, hlr, hrr, hrc, hlc, hrc, hcc], axis=1
     ).reshape(-1, 3, 3)
@@ -316,58 +349,104 @@ def detect_keypoints(space: ScaleSpace) -> list[Keypoint]:
 def normalize_descriptor(raw: np.ndarray) -> np.ndarray | None:
     """L2 normalize, clamp entries at 0.2, renormalize. None when the raw
     histogram carries no energy."""
-    norm = np.linalg.norm(raw)
-    if norm < 1e-12:
-        return None
-    clamped = np.minimum(raw / norm, DESCRIPTOR_CLAMP)
-    norm = np.linalg.norm(clamped)
-    if norm < 1e-12:
-        return None
-    return clamped / norm
+    descriptors, ok = _normalize(raw[None])
+    return descriptors[0] if ok[0] else None
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # stacked (1, 128) @ (128, 1) products take the dot-product path of
+    # np.linalg.norm on each row
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def _normalize(raw: np.ndarray):
+    """normalize_descriptor on each row of (n, 128): the normalized rows
+    and the mask of rows it keeps (the other rows are zero)."""
+    out = np.zeros_like(raw)
+    first = _row_norms(raw)
+    kept = ~(first < 1e-12)
+    clamped = np.minimum(raw[kept] / first[kept, None], DESCRIPTOR_CLAMP)
+    second = _row_norms(clamped)
+    energy = ~(second < 1e-12)
+    kept[kept] = energy
+    out[kept] = clamped[energy] / second[energy, None]
+    return out, kept
 
 
 def _smooth_circular(hist: np.ndarray) -> np.ndarray:
-    pad = np.concatenate([hist[-2:], hist, hist[:2]])
+    """Circular [1, 4, 6, 4, 1] / 16 smoothing of each row of (n, 36),
+    summed term by term in np.convolve's order."""
+    pad = np.concatenate([hist[:, -2:], hist, hist[:, :2]], axis=1)
     kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-    return np.convolve(pad, kernel, mode="valid")
+    n = hist.shape[1]
+    out = pad[:, :n] * kernel[0]
+    for j in range(1, kernel.size):
+        out += pad[:, j:j + n] * kernel[j]
+    return out
 
 
 # --- per-level batches ------------------------------------------------------
 
 
-def _level_key(kp: Keypoint, space: ScaleSpace) -> tuple[int, int]:
-    return kp.octave, min(kp.layer, len(space.gaussians[kp.octave]) - 1)
+class _Gradients(NamedTuple):
+    """Central-difference gradient magnitude and angle of one pyramid level
+    over a box of interior pixels; element [r - top, c - left] belongs to
+    pixel (r, c)."""
+
+    mag: np.ndarray
+    ang: np.ndarray
+    top: int
+    left: int
 
 
-def _level_gradients(level: np.ndarray):
-    """Magnitude and angle of the central-difference gradient of one pyramid
-    level; element [r - 1, c - 1] belongs to interior pixel (r, c)."""
-    dy = 0.5 * (level[2:, 1:-1] - level[:-2, 1:-1])
-    dx = 0.5 * (level[1:-1, 2:] - level[1:-1, :-2])
-    return np.hypot(dx, dy), np.arctan2(dy, dx)
+def _level_gradients(level: np.ndarray, top: int, bottom: int, left: int, right: int):
+    """Gradients of the interior pixels rows top..bottom, cols left..right."""
+    block = level[top - 1:bottom + 2, left - 1:right + 2]
+    dy = 0.5 * (block[2:, 1:-1] - block[:-2, 1:-1])
+    dx = 0.5 * (block[1:-1, 2:] - block[1:-1, :-2])
+    return _Gradients(np.hypot(dx, dy), np.arctan2(dy, dx), top, left)
 
 
-def _orientation_radius(kp: Keypoint) -> int:
-    return int(round(3.0 * (1.5 * kp.octave_scale)))
+class _Frames(NamedTuple):
+    """Keypoints of one level as arrays: centre row and column in octave
+    pixels, and sigma in octave pixels."""
+
+    row: np.ndarray
+    col: np.ndarray
+    scale: np.ndarray
+
+    @classmethod
+    def of(cls, kps, delta):
+        return cls(np.array([k.y for k in kps]) / delta, np.array([k.x for k in kps]) / delta,
+                   np.array([k.octave_scale for k in kps]))
+
+    def take(self, index):
+        return _Frames(self.row[index], self.col[index], self.scale[index])
+
+    def descriptor_windows(self):
+        """Integer centre row and column and half side of each descriptor
+        window."""
+        return np.rint(self.row), np.rint(self.col), _descriptor_half(self.scale)
 
 
-def _descriptor_half(kp: Keypoint) -> int:
-    hist_width = 3.0 * kp.octave_scale
-    return int(round(hist_width * math.sqrt(2) * (DESCRIPTOR_GRID + 1) * 0.5))
-
-
-def _descriptor_window_inside(kp: Keypoint, space: ScaleSpace) -> bool:
-    """Whether the descriptor sampling window lies inside the octave image.
-    Orientation does not enter: the window is an axis-aligned square."""
-    h, w = space.gaussians[kp.octave].shape[1:]
-    delta = space.deltas[kp.octave]
-    half = _descriptor_half(kp)
-    row_i = int(round(kp.y / delta))
-    col_i = int(round(kp.x / delta))
+def _descriptor_windows_inside(frames: _Frames, shape) -> np.ndarray:
+    """Whether each descriptor sampling window lies inside the level image,
+    with the ring its gradients read. Orientation does not enter: the
+    window is an axis-aligned square."""
+    h, w = shape
+    row_i, col_i, half = frames.descriptor_windows()
     return (
-        1 <= row_i - half and row_i + half <= h - 2
-        and 1 <= col_i - half and col_i + half <= w - 2
+        (1 <= row_i - half) & (row_i + half <= h - 2)
+        & (1 <= col_i - half) & (col_i + half <= w - 2)
     )
+
+
+def _window_gradients(level: np.ndarray, frames: _Frames) -> _Gradients:
+    """Gradients over the bounding box of the keypoints' descriptor windows,
+    which hold their orientation windows too."""
+    row_i, col_i, half = frames.descriptor_windows()
+    return _level_gradients(level, int((row_i - half).min()), int((row_i + half).max()),
+                            int((col_i - half).min()), int((col_i + half).max()))
 
 
 def _chunks(n: int, half: int):
@@ -384,60 +463,56 @@ def _windows(centre, lo, hi, half):
     return idx, (idx >= lo[:, None]) & (idx <= hi[:, None])
 
 
-def _select(mask, rows, cols, width):
-    """Keypoint index and flat level-gradient index of every set position
-    of mask (n, W, W), in row-major window order per keypoint."""
+def _select(mask, rows, cols, grad: _Gradients):
+    """Keypoint index and flat gradient index of every set position of
+    mask (n, W, W), in row-major window order per keypoint."""
     k_sel = np.repeat(np.arange(len(mask)), np.count_nonzero(mask, axis=(1, 2)))
-    pixel = ((rows - 1) * width)[:, :, None] + (cols - 1)[:, None, :]
+    pixel = ((rows - grad.top) * grad.mag.shape[1])[:, :, None] + (cols - grad.left)[:, None, :]
     return k_sel, pixel[mask]
 
 
-def _orientation_histograms(kps, mag, ang, delta) -> np.ndarray:
-    """Gaussian-weighted 36-bin gradient angle histograms (n, 36) for the
+def _orientation_histograms(frames: _Frames, grad: _Gradients) -> np.ndarray:
+    """Gaussian-weighted 36-bin gradient angle histograms (n, 36) of the
     keypoints of one level, before smoothing. Windows are clipped at the
-    image border."""
-    h, w = mag.shape[0] + 2, mag.shape[1] + 2
-    mag_flat, ang_flat = mag.ravel(), ang.ravel()
-    out = np.zeros((len(kps), ORIENTATION_BINS))
-    for part in _chunks(len(kps), max(_orientation_radius(k) for k in kps)):
-        chunk = kps[part]
-        row_c = np.array([k.y / delta for k in chunk])
-        col_c = np.array([k.x / delta for k in chunk])
-        sigma_den = np.array([2.0 * (1.5 * k.octave_scale) ** 2 for k in chunk])
-        radius = np.array([_orientation_radius(k) for k in chunk])
+    gradient box."""
+    bottom = grad.top + grad.mag.shape[0] - 1
+    right = grad.left + grad.mag.shape[1] - 1
+    mag_flat, ang_flat = grad.mag.ravel(), grad.ang.ravel()
+    radii = _orientation_radius(frames.scale)
+    sigma_dens = np.array([2.0 * (1.5 * s) ** 2 for s in frames.scale.tolist()])
+    out = np.zeros((len(radii), ORIENTATION_BINS))
+    for part in _chunks(len(radii), int(radii.max())):
+        row_c, col_c, radius = frames.row[part], frames.col[part], radii[part]
         row_i = np.rint(row_c).astype(np.int64)
         col_i = np.rint(col_c).astype(np.int64)
         half = int(radius.max())
         rows, row_ok = _windows(
-            row_i, np.maximum(1, row_i - radius), np.minimum(h - 2, row_i + radius), half
+            row_i, np.maximum(grad.top, row_i - radius), np.minimum(bottom, row_i + radius), half
         )
         cols, col_ok = _windows(
-            col_i, np.maximum(1, col_i - radius), np.minimum(w - 2, col_i + radius), half
+            col_i, np.maximum(grad.left, col_i - radius), np.minimum(right, col_i + radius), half
         )
         inside = row_ok[:, :, None] & col_ok[:, None, :]
-        k_sel, pixel = _select(inside, rows, cols, w - 2)
+        k_sel, pixel = _select(inside, rows, cols, grad)
         dr2 = (rows - row_c[:, None]) ** 2
         dc2 = (cols - col_c[:, None]) ** 2
         dist2 = dr2[:, :, None] + dc2[:, None, :]
-        weight = np.exp(-dist2[inside] / sigma_den[k_sel])
+        weight = np.exp(-dist2[inside] / sigma_dens[part][k_sel])
         bins = np.rint(ang_flat[pixel] * (ORIENTATION_BINS / (2.0 * np.pi))).astype(int)
         hist = np.bincount(
             k_sel * ORIENTATION_BINS + bins % ORIENTATION_BINS,
             weights=weight * mag_flat[pixel],
-            minlength=len(chunk) * ORIENTATION_BINS,
+            minlength=len(row_c) * ORIENTATION_BINS,
         )
-        out[part] = hist.reshape(len(chunk), ORIENTATION_BINS)
+        out[part] = hist.reshape(len(row_c), ORIENTATION_BINS)
     return out
 
 
-def _orient_level(kps, mag, ang, delta) -> list[list[Keypoint]]:
-    """Oriented copies of each keypoint of one level: histogram peaks within
-    80% of the top peak each spawn a keypoint, with parabolic peak
-    refinement."""
-    if not kps:
-        return []
-    raw = _orientation_histograms(kps, mag, ang, delta)
-    hist = np.array([_smooth_circular(row) for row in raw])
+def _orientations(frames: _Frames, grad: _Gradients):
+    """Orientation peaks of the keypoints of one level: histogram peaks
+    within 80% of the top peak, with parabolic peak refinement. Returns the
+    keypoint index and the angle of each peak, per keypoint in bin order."""
+    hist = _smooth_circular(_orientation_histograms(frames, grad))
     left = np.roll(hist, 1, axis=1)
     right = np.roll(hist, -1, axis=1)
     top = hist.max(axis=1, keepdims=True)
@@ -445,29 +520,24 @@ def _orient_level(kps, mag, ang, delta) -> list[list[Keypoint]]:
     k_idx, bin_idx = np.nonzero(peak)
     left, centre, right = left[k_idx, bin_idx], hist[k_idx, bin_idx], right[k_idx, bin_idx]
     shift = 0.5 * (left - right) / (left - 2.0 * centre + right)
-    angles = (bin_idx + shift) * (2.0 * np.pi / ORIENTATION_BINS) % (2.0 * np.pi)
-    out = [[] for _ in kps]
-    for i, angle in zip(k_idx.tolist(), angles.tolist()):
-        out[i].append(replace(kps[i], orientation=angle))
-    return out
+    return k_idx, (bin_idx + shift) * (2.0 * np.pi / ORIENTATION_BINS) % (2.0 * np.pi)
 
 
-def _descriptor_histograms(kps, mag, ang, delta) -> np.ndarray:
-    """Raw 4x4x8 trilinearly pooled gradient histograms (n, 128) for
-    keypoints of one level whose windows lie inside it."""
+def _descriptor_histograms(frames: _Frames, theta: np.ndarray, grad: _Gradients) -> np.ndarray:
+    """Raw 4x4x8 trilinearly pooled gradient histograms (n, 128) of
+    keypoints of one level at orientations theta, whose windows lie inside
+    the gradient box."""
     grid, n_bins = DESCRIPTOR_GRID, DESCRIPTOR_BINS
     cells = grid + 2  # one spill-over cell each side, dropped at the end
-    mag_flat, ang_flat = mag.ravel(), ang.ravel()
-    out = np.zeros((len(kps), DESCRIPTOR_LENGTH))
-    for part in _chunks(len(kps), max(_descriptor_half(k) for k in kps)):
-        chunk = kps[part]
-        row_c = np.array([k.y / delta for k in chunk])
-        col_c = np.array([k.x / delta for k in chunk])
-        hist_width = np.array([3.0 * k.octave_scale for k in chunk])
-        theta = np.array([k.orientation for k in chunk])
-        cos_t = np.array([math.cos(k.orientation) for k in chunk])
-        sin_t = np.array([math.sin(k.orientation) for k in chunk])
-        half = np.array([_descriptor_half(k) for k in chunk])
+    mag_flat, ang_flat = grad.mag.ravel(), grad.ang.ravel()
+    halves = _descriptor_half(frames.scale)
+    cos_all = np.array([math.cos(t) for t in theta.tolist()])
+    sin_all = np.array([math.sin(t) for t in theta.tolist()])
+    out = np.zeros((len(theta), DESCRIPTOR_LENGTH))
+    for part in _chunks(len(theta), int(halves.max())):
+        row_c, col_c, half = frames.row[part], frames.col[part], halves[part]
+        hist_width = 3.0 * frames.scale[part]
+        cos_t, sin_t = cos_all[part], sin_all[part]
         row_i = np.rint(row_c).astype(np.int64)
         col_i = np.rint(col_c).astype(np.int64)
         size = int(half.max())
@@ -485,14 +555,17 @@ def _descriptor_histograms(kps, mag, ang, delta) -> np.ndarray:
             (row_bin > -1) & (row_bin < grid) & (col_bin > -1) & (col_bin < grid)
             & row_ok[:, :, None] & col_ok[:, None, :]
         )
-        k_sel, pixel = _select(inside, rows, cols, mag.shape[1])
+        k_sel, pixel = _select(inside, rows, cols, grad)
         u, v = u[inside], v[inside]
         rb, cb = row_bin[inside], col_bin[inside]
         weight = np.exp(-(u**2 + v**2) / (2.0 * (0.5 * grid) ** 2))
         cv = weight * mag_flat[pixel]
-        # np.remainder's result, from the faster fmod plus its sign rule
-        ob = np.fmod((ang_flat[pixel] - theta[k_sel]) * (n_bins / (2.0 * np.pi)), n_bins)
-        ob += n_bins * (ob < 0)
+        # np.remainder's result without its slow fmod: x - n_bins * floor(x /
+        # n_bins) is the floor-mod rounded once; the masked add mends the
+        # negative left where x / n_bins underflows to -0
+        ob = (ang_flat[pixel] - theta[part][k_sel]) * (n_bins / (2.0 * np.pi))
+        ob -= n_bins * np.floor(ob / n_bins)
+        np.add(ob, n_bins, out=ob, where=ob < 0)
 
         r_f = np.floor(rb).astype(int)
         c_f = np.floor(cb).astype(int)
@@ -502,48 +575,56 @@ def _descriptor_histograms(kps, mag, ang, delta) -> np.ndarray:
         o_d = ob - o_f
         cell = ((k_sel * cells + r_f + 1) * cells + c_f + 1) * n_bins
         o_index = (cell + o_f % n_bins, cell + (o_f + 1) % n_bins)
-        o_weight = (1 - o_d, o_d)
+        r_weight, c_weight, o_weight = (1 - r_d, r_d), (1 - c_d, c_d), (1 - o_d, o_d)
         # the eight trilinear passes in a fixed order, each one flat scatter
         # over the whole chunk: every bin sums its terms pass by pass and
         # sample by sample, as a keypoint-at-a-time accumulation would
-        hist = np.zeros(len(chunk) * cells * cells * n_bins)
+        hist = np.zeros(len(row_c) * cells * cells * n_bins)
         for r_off in (0, 1):
-            wr = cv * (r_d if r_off else 1 - r_d)
+            wr = cv * r_weight[r_off]
             for c_off in (0, 1):
-                wc = wr * (c_d if c_off else 1 - c_d)
+                wc = wr * c_weight[c_off]
                 for o_off in (0, 1):
-                    shift = (r_off * cells + c_off) * n_bins
-                    np.add.at(hist, o_index[o_off] + shift, wc * o_weight[o_off])
-        out[part] = hist.reshape(len(chunk), cells, cells, n_bins)[:, 1:-1, 1:-1].reshape(
-            len(chunk), DESCRIPTOR_LENGTH
+                    shifted = hist[(r_off * cells + c_off) * n_bins:]
+                    np.add.at(shifted, o_index[o_off], wc * o_weight[o_off])
+        out[part] = hist.reshape(len(row_c), cells, cells, n_bins)[:, 1:-1, 1:-1].reshape(
+            len(row_c), DESCRIPTOR_LENGTH
         )
     return out
 
 
-def _describe_level(kps, mag, ang, delta) -> list[np.ndarray | None]:
-    if not kps:
-        return []
-    return [normalize_descriptor(raw) for raw in _descriptor_histograms(kps, mag, ang, delta)]
+def _level_key(kp: Keypoint, space: ScaleSpace) -> tuple[int, int]:
+    return kp.octave, min(kp.layer, len(space.gaussians[kp.octave]) - 1)
 
 
-def _level_inputs(kp: Keypoint, space: ScaleSpace):
-    octave, layer = _level_key(kp, space)
-    return (*_level_gradients(space.gaussians[octave][layer]), space.deltas[octave])
+def _oriented(kp: Keypoint, angle: float) -> Keypoint:
+    return Keypoint(kp.x, kp.y, kp.scale, angle, kp.response, kp.octave, kp.layer,
+                    kp.octave_scale)
 
 
 def assign_orientations(kp: Keypoint, space: ScaleSpace) -> list[Keypoint]:
     """One or more oriented copies of a keypoint: histogram peaks within 80%
     of the top peak each spawn a keypoint, with parabolic peak refinement.
     The histogram window is clipped at the image border."""
-    return _orient_level([kp], *_level_inputs(kp, space))[0]
+    octave, layer = _level_key(kp, space)
+    level = space.gaussians[octave][layer]
+    h, w = level.shape
+    frames = _Frames.of([kp], space.deltas[octave])
+    _, angles = _orientations(frames, _level_gradients(level, 1, h - 2, 1, w - 2))
+    return [_oriented(kp, angle) for angle in angles.tolist()]
 
 
 def compute_descriptor(kp: Keypoint, space: ScaleSpace) -> np.ndarray | None:
     """128-d gradient histogram descriptor, or None when the sampling window
     leaves the octave image (such keypoints are dropped)."""
-    if not _descriptor_window_inside(kp, space):
+    octave, layer = _level_key(kp, space)
+    level = space.gaussians[octave][layer]
+    frames = _Frames.of([kp], space.deltas[octave])
+    if not _descriptor_windows_inside(frames, level.shape)[0]:
         return None
-    return _describe_level([kp], *_level_inputs(kp, space))[0]
+    raw = _descriptor_histograms(frames, np.array([kp.orientation]),
+                                 _window_gradients(level, frames))
+    return normalize_descriptor(raw[0])
 
 
 def extract(img: GreyImage, params: SiftParams = SiftParams()) -> list[tuple[Keypoint, np.ndarray]]:
@@ -554,7 +635,7 @@ def extract(img: GreyImage, params: SiftParams = SiftParams()) -> list[tuple[Key
     Output order is deterministic: sorted by (octave, y, x, scale,
     orientation)."""
     space = build_scale_space(img, params)
-    kps = [kp for kp in detect_keypoints(space) if _descriptor_window_inside(kp, space)]
+    kps = detect_keypoints(space)
     by_level: dict[tuple[int, int], list[int]] = {}
     for i, kp in enumerate(kps):
         by_level.setdefault(_level_key(kp, space), []).append(i)
@@ -562,14 +643,21 @@ def extract(img: GreyImage, params: SiftParams = SiftParams()) -> list[tuple[Key
     # stable sort below sees them in detection order whatever the level
     per_kp = [[] for _ in kps]
     for (octave, layer), members in by_level.items():
-        mag, ang = _level_gradients(space.gaussians[octave][layer])
-        delta = space.deltas[octave]
-        copies = _orient_level([kps[i] for i in members], mag, ang, delta)
-        oriented = [k for group in copies for k in group]
-        descriptors = iter(_describe_level(oriented, mag, ang, delta))
-        for i, group in zip(members, copies):
-            per_kp[i] = [(k, next(descriptors)) for k in group]
-    out = [(k, d) for pairs in per_kp for k, d in pairs if d is not None]
+        level = space.gaussians[octave][layer]
+        frames = _Frames.of([kps[i] for i in members], space.deltas[octave])
+        inside = np.flatnonzero(_descriptor_windows_inside(frames, level.shape))
+        if not inside.size:
+            continue
+        frames = frames.take(inside)
+        grad = _window_gradients(level, frames)
+        k_idx, angles = _orientations(frames, grad)
+        if not k_idx.size:
+            continue
+        descriptors, ok = _normalize(_descriptor_histograms(frames.take(k_idx), angles, grad))
+        owners = np.asarray(members)[inside[k_idx]]
+        for i, angle, descriptor in zip(owners[ok].tolist(), angles[ok].tolist(), descriptors[ok]):
+            per_kp[i].append((_oriented(kps[i], angle), descriptor))
+    out = [pair for pairs in per_kp for pair in pairs]
     out.sort(key=lambda kd: (kd[0].octave, kd[0].y, kd[0].x, kd[0].scale, kd[0].orientation))
     return out
 

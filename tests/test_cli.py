@@ -295,6 +295,25 @@ class TestExitCodes:
         assert err == ["ramanfuse: numerical failure: the eigenvalues of the band scatter "
                        "are not finite in float64"]
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--modality", "median-spectrum", "--out", "model.json"],
+        ["cv", "--modality", "median-spectrum", "--folds", "2", "--out", "cv"],
+        ["pls-select", "--n-repeats", "3", "--out", "selection.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_saturated_cube_is_a_one_line_data_error_that_names_its_sample(
+        self, tmp_path, capsys, argv
+    ):
+        # every tissue pixel reaches the saturation level, so none is left
+        cohort = synth.generate(synth.SynthSpec(n_patients=8, n_samples=24, seed=1), tmp_path)
+        sample = cohort.samples[3]
+        cube = dataio.load_cube(sample.rci_path)
+        dataio.save_cube(dataio.HyperspectralCube(cube.wavenumbers, cube.data * 1e100),
+                         sample.rci_path)
+        argv = [*argv[:-1], str(tmp_path / "out" / argv[-1])]
+        assert cli.main([*argv, "--manifest", str(tmp_path / synth.MANIFEST_NAME)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ramanfuse: data error: sample {sample.sample_id}: no masked-in pixels"]
+
     @pytest.mark.parametrize("seed", ["x", 1.5, False])
     def test_manifest_seed_that_is_not_an_integer_is_a_data_error(
         self, tmp_path, capsys, no_cubes, seed
@@ -1143,6 +1162,27 @@ class TestSelection:
         captured = capsys.readouterr().out
         assert "were skipped" in captured
         assert len(read_rows(out)) > 1
+
+    def test_single_class_task_fails_before_any_cube_is_read(self, tmp_path, no_cubes, capsys):
+        path = empty_file_manifest(tmp_path, [("normal", "normal")] * 6)
+        out = tmp_path / "selection.csv"
+        assert cli.main(["pls-select", "--manifest", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["ramanfuse: data error: task nc-c: the task rows do not hold both "
+                       "classes, which a fit needs"]
+        assert not out.exists()
+
+    def test_chain_longer_than_the_spectra_names_chain_and_band_count(self, tmp_path, capsys):
+        synth.generate(CV_COHORT, tmp_path)
+        out = tmp_path / "selection.csv"
+        assert cli.main([
+            "pls-select", "--manifest", str(tmp_path / synth.MANIFEST_NAME), "--out", str(out),
+            "--pretreatments", "none,fluor+snv",
+        ]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["ramanfuse: data error: pretreatment fluor+snv needs spectra of at least "
+                       "301 bands, but the cohort's have 32"]
+        assert not out.exists()
 
     def test_explicit_pretreatment_menu(self, manifest, tmp_path):
         out = tmp_path / "selection.csv"

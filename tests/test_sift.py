@@ -80,11 +80,35 @@ class TestScaleSpace:
         assert space.gaussians[0].shape[0] == len(sift.LEVEL_SIGMAS)
 
     def test_octave_halves_resolution(self):
-        space = build_scale_space(GreyImage(np.zeros((64, 48), dtype=np.uint8)))
-        assert space.gaussians[0].shape[1:] == (64, 48)
-        assert space.gaussians[1].shape[1:] == (32, 24)
-        assert space.deltas[:2] == [1.0, 2.0]
+        side = 2 * sift.MIN_OCTAVE_SIDE
+        space = build_scale_space(GreyImage(np.zeros((side, 96), dtype=np.uint8)))
+        assert space.gaussians[0].shape[1:] == (side, 96)
+        assert space.gaussians[1].shape[1:] == (sift.MIN_OCTAVE_SIDE, 48)
+        assert space.deltas == [1.0, 2.0]
         assert space.gaussians[0].shape[0] == 6  # s + 3
+
+    def test_no_octave_below_the_floor(self):
+        # 64x48 halves to 32x24, too small to hold any descriptor window
+        space = build_scale_space(GreyImage(np.zeros((64, 48), dtype=np.uint8)))
+        assert [g.shape[1:] for g in space.gaussians] == [(64, 48)]
+        assert len(space.dogs) == len(space.deltas) == 1
+        side = 2 * sift.MIN_OCTAVE_SIDE - 2  # second octave one pixel short
+        space = build_scale_space(GreyImage(np.zeros((side, side), dtype=np.uint8)))
+        assert len(space.gaussians) == 1
+
+    def test_octave_floor_is_the_smallest_descriptor_window(self):
+        # a keypoint just above layer 0.5 has the smallest window a refined
+        # keypoint can have; centred, it fits an octave of exactly the floor
+        # side and no octave one pixel smaller
+        assert sift.MIN_OCTAVE_SIDE == 41
+        scale = sift.BASE_SIGMA * 2.0 ** ((0.5 + 1e-9) / sift.SCALES_PER_OCTAVE)
+        rng = np.random.default_rng(9)
+        for side, kept in ((sift.MIN_OCTAVE_SIDE, True), (sift.MIN_OCTAVE_SIDE - 1, False)):
+            noise = rng.integers(0, 256, (side, side), dtype=np.uint8)
+            space = build_scale_space(GreyImage(noise))
+            for centre in {(side - 1) // 2, side // 2}:
+                kp = Keypoint(float(centre), float(centre), scale, 0.0, 1.0, 0, 1, scale)
+                assert (compute_descriptor(kp, space) is not None) == kept
 
     def test_blob_response_peaks_near_blob_scale(self):
         sigma_b = 4.0
@@ -127,7 +151,8 @@ class TestScaleSpace:
         rng = np.random.default_rng(8)
         whole = rng.random((2 * shape[0], 2 * shape[1]))
         for img in (whole[: shape[0], : shape[1]].copy(), whole[::2, ::2]):
-            assert _gaussian_blur(img, sigma).tobytes() == reference(img).tobytes()
+            got = _gaussian_blur(img, sigma, np.empty(img.shape))
+            assert got.tobytes() == reference(img).tobytes()
 
 
 def dense_local_extrema(dog, floor):
@@ -179,7 +204,7 @@ class TestDetect:
         # soften so the step survives pyramid smoothing as a clean edge
         from ramanfuse.sift import _gaussian_blur
 
-        img = _gaussian_blur(img, 1.0)
+        img = _gaussian_blur(img, 1.0, np.empty(img.shape))
         kps = detect_keypoints(build_scale_space(to_grey(img)))
         assert kps == []
 
@@ -441,3 +466,73 @@ class TestPerKeypointPath:
         assert _local_extrema(dog, 0.0).tolist() == [[1, 4, 4], [1, 4, 12]]
         kept = detect_keypoints(space)
         assert [(k.x, k.y, k.layer) for k in kept] == [(12.0, 4.0, 1)]
+
+
+class TestLevelBatches:
+    """Per-level array forms against the per-keypoint arithmetic they
+    replace."""
+
+    @pytest.mark.parametrize("name", ["dp", "rci", "texture"])
+    def test_box_gradients_are_slices_of_whole_level_gradients(self, name):
+        from ramanfuse.sift import _Frames, _level_gradients, _window_gradients
+
+        space = build_scale_space(GreyImage(np.load(GOLDEN)[f"{name}_image"]), PIPELINE_SIFT)
+        kps = detect_keypoints(space)
+        rng = np.random.default_rng(10)
+        for octave, levels in enumerate(space.gaussians):
+            for level in levels:
+                h, w = level.shape
+                whole = _level_gradients(level, 1, h - 2, 1, w - 2)
+                top, bottom = np.sort(rng.integers(1, h - 1, 2))
+                left, right = np.sort(rng.integers(1, w - 1, 2))
+                boxes = [_level_gradients(level, top, bottom, left, right)]
+                kept = [k for k in kps
+                        if k.octave == octave and compute_descriptor(k, space) is not None]
+                if kept:
+                    boxes.append(_window_gradients(level, _Frames.of(kept, space.deltas[octave])))
+                for box in boxes:
+                    rows = slice(box.top - 1, box.top - 1 + box.mag.shape[0])
+                    cols = slice(box.left - 1, box.left - 1 + box.mag.shape[1])
+                    assert box.mag.tobytes() == whole.mag[rows, cols].tobytes()
+                    assert box.ang.tobytes() == whole.ang[rows, cols].tobytes()
+
+    def test_smoothing_matches_circular_convolution(self):
+        from ramanfuse.sift import _smooth_circular
+
+        def reference(row):
+            pad = np.concatenate([row[-2:], row, row[:2]])
+            return np.convolve(pad, np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0, mode="valid")
+
+        rng = np.random.default_rng(11)
+        hist = rng.random((500, sift.ORIENTATION_BINS)) * rng.choice([1e-3, 1.0, 40.0], (500, 1))
+        hist[::5] = np.round(hist[::5] * 7.0)
+        want = np.array([reference(row) for row in hist])
+        assert _smooth_circular(hist).tobytes() == want.tobytes()
+
+    def test_row_normalization_matches_per_row_norms(self):
+        from ramanfuse.sift import _normalize
+
+        def reference(raw):
+            norm = np.linalg.norm(raw)
+            if norm < 1e-12:
+                return None
+            clamped = np.minimum(raw / norm, sift.DESCRIPTOR_CLAMP)
+            norm = np.linalg.norm(clamped)
+            if norm < 1e-12:
+                return None
+            return clamped / norm
+
+        rng = np.random.default_rng(12)
+        raw = rng.random((300, 128)) ** 3 * rng.choice([1e-9, 1.0, 1e3], (300, 1))
+        raw[raw < 0.05] = 0.0
+        raw[::17] = 0.0            # no energy
+        raw[5] = 0.0
+        raw[5, 0] = 1e-13          # first norm below the cut
+        raw[7] = 1e200             # the squared norm overflows, the second is 0
+        with np.errstate(over="ignore"):  # row 7 overflows on both sides
+            got, kept = _normalize(raw)
+            wants = [reference(row) for row in raw]
+        for out, keep, want in zip(got, kept, wants):
+            assert keep == (want is not None)
+            assert out.tobytes() == (want if keep else np.zeros(128)).tobytes()
+        assert not kept[0] and not kept[5] and not kept[7] and kept[1]
