@@ -290,7 +290,8 @@ def _cmd_preprocess(args) -> int:
     out = _out_dir(args)
     cfg = _pipeline_config(args)
     for record in manifest.samples:
-        sample = experiments.prepare_sample(record, cfg)
+        with experiments.naming_sample(record):
+            sample = experiments.prepare_sample(record, cfg)
         dataio.save_image(sample.dp, out / f"{record.sample_id}_dp.pgm")
         dataio.save_image(sample.rci, out / f"{record.sample_id}_rci.pgm")
         dataio.save_mask(sample.mask, out / f"{record.sample_id}_mask.pgm")
@@ -302,7 +303,8 @@ def _cmd_median_spectrum(args) -> int:
     manifest = _load_task_manifest(args)
     out = _out_dir(args)
     for record in manifest.samples:
-        sample = experiments.prepare_sample(record, routes=())
+        with experiments.naming_sample(record):
+            sample = experiments.prepare_sample(record, routes=())
         spectral.save_spectrum(sample.median, out / f"{record.sample_id}_median.csv")
     print(f"wrote {len(manifest.samples)} median spectra into {out}")
     return 0
@@ -492,14 +494,21 @@ def _cmd_pls_select(args) -> int:
     if args.pretreatments == []:
         raise _UsageError("an empty menu is not valid for --pretreatments")
     menu = [spectral.parse_pretreatment(m) for m in args.pretreatments or ()]
-    _check_both_classes(args.task, "task", experiments.task_records(manifest, args.task)[1])
+    records, y = experiments.task_records(manifest, args.task)
+    _check_both_classes(args.task, "task", y)
+    if menu:
+        # Every cube shares the first one's wavenumber axis, so the first
+        # cube's band count is the cohort's.
+        with experiments.naming_sample(records[0]):
+            n_bands = dataio.load_cube(records[0].rci_path).n_bands
+        for chain in menu:
+            if chain.min_length > n_bands:
+                raise SpectrumTooShort(f"pretreatment {chain} needs spectra of at least "
+                                       f"{chain.min_length} bands, but the cohort's have "
+                                       f"{n_bands}")
     desc = experiments.extract_cohort(manifest, args.task, routes=())
-    n_bands = desc.medians.shape[1]
-    for chain in menu:
-        if chain.min_length > n_bands:
-            raise SpectrumTooShort(f"pretreatment {chain} needs spectra of at least "
-                                   f"{chain.min_length} bands, but the cohort's have {n_bands}")
     if args.pretreatments is None:
+        n_bands = desc.medians.shape[1]
         full = spectral.standard_menu()
         menu = [m for m in full if m.min_length <= n_bands]
         if len(menu) < len(full):

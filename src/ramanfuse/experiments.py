@@ -4,6 +4,7 @@ each modality route."""
 from __future__ import annotations
 
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import bovw, dataio, evaluation, imaging, plsda, spectral, svm, synth
 from .dataio import CohortManifest, GreyImage, Label
-from .errors import DataError, DimMismatch, InsufficientClassCoverage
+from .errors import DimMismatch, InsufficientClassCoverage, RamanFuseError
 from .sift import SiftParams, descriptor_matrix, extract
 
 TASKS = ("nc-c", "g3-g4")
@@ -91,6 +92,16 @@ def prepare_sample(
         rci, mask = None, tissue_mask(cube)
     median = spectral.median_spectrum(replace(cube, mask=mask))
     return PreparedSample(dp, rci, mask, median)
+
+
+@contextmanager
+def naming_sample(record):
+    """Put `sample <id>: ` before the message of any package error raised
+    inside, keeping its class and so its exit code."""
+    try:
+        yield
+    except RamanFuseError as exc:
+        raise type(exc)(f"sample {record.sample_id}: {exc}") from exc
 
 
 # --- task handling ----------------------------------------------------------------
@@ -188,18 +199,16 @@ def extract_cohort(
     """The heavy, partition-free stage: preprocess every task sample once
     and keep the descriptors of each route in `routes` and its median
     spectrum; routes=() is median-spectrum work only. Every cube must share
-    the first sample's wavenumber axis. A data error raised for one sample
-    names that sample."""
+    the first sample's wavenumber axis. An error raised for one sample names
+    that sample."""
     records, y = task_records(manifest, task)
     table = {route: [] for route in routes}
     medians = []
     for record in records:
-        try:
+        with naming_sample(record):
             sample = prepare_sample(record, config, routes)
             for route, descriptors in table.items():
                 descriptors.append(descriptor_matrix(extract(getattr(sample, route), SIFT_PARAMS)))
-        except DataError as exc:
-            raise type(exc)(f"sample {record.sample_id}: {exc}") from exc
         if medians and not np.array_equal(sample.median.wavenumbers, medians[0].wavenumbers):
             raise DimMismatch(f"sample {record.sample_id} has another wavenumber axis "
                               f"than sample {records[0].sample_id}")

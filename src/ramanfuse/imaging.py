@@ -20,6 +20,7 @@ from .errors import (
 GREY_COEFFS = (0.299, 0.587, 0.114)
 MIN_REGION_PIXELS = 10
 BACKGROUND_CANDIDATES = 3  # leading PCs tried for the background split
+MASK_BANDS = 64  # most bands the background PCA reads; wider cubes are grouped
 
 
 def _round_u8(x: np.ndarray) -> np.ndarray:
@@ -254,19 +255,33 @@ def histogram_equalize(img: GreyImage) -> GreyImage:
 class BackgroundResult:
     mask: np.ndarray
     component: int     # 0-based index of the PC used
-    threshold: float
+    threshold: float   # on that PC's scores, of the grouped cube above MASK_BANDS bands
+
+
+def group_bands(cube: HyperspectralCube) -> HyperspectralCube:
+    """The cube itself if it has at most MASK_BANDS bands; else its bands
+    summed into MASK_BANDS contiguous groups (the np.array_split of the
+    band axis), each group on its first wavenumber, under the cube's mask."""
+    if cube.n_bands <= MASK_BANDS:
+        return cube
+    starts = [group[0] for group in np.array_split(np.arange(cube.n_bands), MASK_BANDS)]
+    return HyperspectralCube(cube.wavenumbers[starts],
+                             np.add.reduceat(cube.data, starts, axis=2), cube.mask)
 
 
 def background_mask(cube: HyperspectralCube) -> BackgroundResult:
     """Background/tissue split from a PC score image.
 
-    Component choice is automated: among the first BACKGROUND_CANDIDATES
-    PCs, pick the one whose Otsu split best separates the per-pixel mean
-    intensity (between-class variance), then keep the brighter side.
+    The PCA runs on group_bands(cube): a cube wider than MASK_BANDS bands
+    is split on the scores of its grouped bands, and the threshold is in
+    those scores. Component choice is automated: among the first
+    BACKGROUND_CANDIDATES PCs, pick the one whose Otsu split best separates
+    the per-pixel mean intensity of the full cube (between-class variance),
+    then keep the brighter side.
     """
     n_pix = int(cube.mask.sum())
     k = min(BACKGROUND_CANDIDATES, cube.data.shape[2], max(n_pix - 1, 1))
-    pca = pca_scores(cube, max(k, 1))
+    pca = pca_scores(group_bands(cube), max(k, 1))
     intensity = cube.data.mean(axis=2)
 
     best = None

@@ -292,16 +292,19 @@ class TestExitCodes:
         argv[-1] = str(tmp_path / "out" / argv[-1])
         assert cli.main([*argv, "--manifest", str(tmp_path / synth.MANIFEST_NAME)]) == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["ramanfuse: numerical failure: the eigenvalues of the band scatter "
-                       "are not finite in float64"]
+        assert err == [f"ramanfuse: numerical failure: sample {cohort.samples[0].sample_id}: "
+                       "the eigenvalues of the band scatter are not finite in float64"]
 
-    @pytest.mark.parametrize("argv", [
-        ["train", "--modality", "median-spectrum", "--out", "model.json"],
-        ["cv", "--modality", "median-spectrum", "--folds", "2", "--out", "cv"],
-        ["pls-select", "--n-repeats", "3", "--out", "selection.csv"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--modality", "median-spectrum", "--out", "model.json"], ""),
+        (["cv", "--modality", "median-spectrum", "--folds", "2", "--out", "cv"], ""),
+        (["pls-select", "--n-repeats", "3", "--out", "selection.csv"], ""),
+        (["median-spectrum", "--out", "medians"], ""),
+        # the mean image, which preprocess scales before the median, finds none first
+        (["preprocess", "--out", "prepared"], " to scale over"),
+    ], ids=["train", "cv", "pls-select", "median-spectrum", "preprocess"])
     def test_saturated_cube_is_a_one_line_data_error_that_names_its_sample(
-        self, tmp_path, capsys, argv
+        self, tmp_path, capsys, argv, message
     ):
         # every tissue pixel reaches the saturation level, so none is left
         cohort = synth.generate(synth.SynthSpec(n_patients=8, n_samples=24, seed=1), tmp_path)
@@ -312,7 +315,8 @@ class TestExitCodes:
         argv = [*argv[:-1], str(tmp_path / "out" / argv[-1])]
         assert cli.main([*argv, "--manifest", str(tmp_path / synth.MANIFEST_NAME)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"ramanfuse: data error: sample {sample.sample_id}: no masked-in pixels"]
+        assert err == [f"ramanfuse: data error: sample {sample.sample_id}: "
+                       f"no masked-in pixels{message}"]
 
     @pytest.mark.parametrize("seed", ["x", 1.5, False])
     def test_manifest_seed_that_is_not_an_integer_is_a_data_error(
@@ -1172,9 +1176,16 @@ class TestSelection:
                        "classes, which a fit needs"]
         assert not out.exists()
 
-    def test_chain_longer_than_the_spectra_names_chain_and_band_count(self, tmp_path, capsys):
+    def test_chain_longer_than_the_spectra_names_chain_and_band_count(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the first cube's band count is checked before any other cube is read
         synth.generate(CV_COHORT, tmp_path)
         out = tmp_path / "selection.csv"
+        loaded = []
+        real_load_cube = dataio.load_cube
+        monkeypatch.setattr(dataio, "load_cube",
+                            lambda path: loaded.append(path) or real_load_cube(path))
         assert cli.main([
             "pls-select", "--manifest", str(tmp_path / synth.MANIFEST_NAME), "--out", str(out),
             "--pretreatments", "none,fluor+snv",
@@ -1183,6 +1194,7 @@ class TestSelection:
         assert err == ["ramanfuse: data error: pretreatment fluor+snv needs spectra of at least "
                        "301 bands, but the cohort's have 32"]
         assert not out.exists()
+        assert len(loaded) == 1
 
     def test_explicit_pretreatment_menu(self, manifest, tmp_path):
         out = tmp_path / "selection.csv"

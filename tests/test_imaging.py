@@ -13,8 +13,11 @@ from ramanfuse.errors import (
     TooFewPixels,
 )
 from ramanfuse.imaging import (
+    MASK_BANDS,
+    BackgroundResult,
     PcaResult,
     background_mask,
+    group_bands,
     histogram_equalize,
     mean_image,
     otsu_threshold,
@@ -443,6 +446,31 @@ class TestEqualize:
         assert after <= before
 
 
+def full_band_split(cube):
+    """background_mask's split with pca_scores on the ungrouped cube: of the
+    leading PCs, the Otsu split that best separates the mean intensity,
+    brighter side kept."""
+    n_pix = int(cube.mask.sum())
+    pca = pca_scores(cube, min(imaging.BACKGROUND_CANDIDATES, cube.n_bands, n_pix - 1))
+    intensity = cube.data.mean(axis=2)
+    best = None
+    for c, image in enumerate(pca.score_images):
+        t = otsu_threshold(image[cube.mask])
+        inside = cube.mask & (image > t)
+        outside = cube.mask & ~inside
+        if inside.any() and outside.any():
+            gap = (inside.sum() / n_pix * outside.sum() / n_pix
+                   * (intensity[inside].mean() - intensity[outside].mean()) ** 2)
+            if best is None or gap > best[0]:
+                best = (gap, c, t)
+    _, c, t = best
+    mask = cube.mask & (pca.score_images[c] > t)
+    other = cube.mask & ~mask
+    if intensity[other].mean() > intensity[mask].mean():
+        mask = other
+    return BackgroundResult(mask, c, t)
+
+
 class TestBackgroundMask:
     def make_tissue_cube(self, rng, bright=100.0, dark=10.0):
         h = w = 16
@@ -466,6 +494,17 @@ class TestBackgroundMask:
         scores = pca_scores(cube, res.component + 1).score_images[res.component]
         assert np.array_equal(res.mask, scores > res.threshold)
 
+    @pytest.mark.parametrize("n_bands", [12, MASK_BANDS])
+    def test_cube_within_the_band_budget_keeps_the_full_band_split(self, tmp_path, n_bands):
+        if n_bands == MASK_BANDS:
+            cube = synth_cubes(tmp_path, 0, n_bands)[0]
+        else:
+            cube, _ = self.make_tissue_cube(np.random.default_rng(3))
+        assert cube.n_bands == n_bands and group_bands(cube) is cube
+        got, want = background_mask(cube), full_band_split(cube)
+        assert np.array_equal(got.mask, want.mask)
+        assert (got.component, got.threshold) == (want.component, want.threshold)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_same_mask_as_svd_split_on_synth_cubes(self, tmp_path, monkeypatch, seed):
         cubes = synth_cubes(tmp_path, seed, 512)
@@ -475,3 +514,39 @@ class TestBackgroundMask:
             want = background_mask(cube)
             assert np.array_equal(res.mask, want.mask)
             assert res.component == want.component
+
+
+class TestBandBudget:
+    def one_hot_cube(self, n_bands):
+        """Pixel i holds 1 in band i and 0 elsewhere; every other row masked in."""
+        data = np.eye(n_bands).reshape(n_bands, 1, n_bands)
+        mask = (np.arange(n_bands) % 2 == 0)[:, None]
+        return HyperspectralCube(400.0 + 3.0 * np.arange(n_bands), data, mask)
+
+    @pytest.mark.parametrize("n_bands", [65, 100, 129, 300])
+    def test_group_count_is_the_budget_when_bands_are_not_a_multiple(self, n_bands):
+        assert n_bands % MASK_BANDS != 0
+        grouped = group_bands(self.one_hot_cube(n_bands))
+        assert grouped.data.shape == (n_bands, 1, MASK_BANDS)
+        assert grouped.wavenumbers.shape == (MASK_BANDS,)
+
+    @pytest.mark.parametrize("n_bands", [65, 100, 129, 300, 1024])
+    def test_every_band_lands_in_exactly_one_contiguous_group(self, n_bands):
+        cube = self.one_hot_cube(n_bands)
+        grouped = group_bands(cube)
+        groups = np.array_split(np.arange(n_bands), MASK_BANDS)
+        assert np.array_equal(grouped.data.sum(axis=2), np.ones((n_bands, 1)))
+        group_of = grouped.data[:, 0].argmax(axis=1)
+        assert np.array_equal(group_of, np.repeat(np.arange(MASK_BANDS), [len(g) for g in groups]))
+        assert np.array_equal(grouped.wavenumbers, cube.wavenumbers[[g[0] for g in groups]])
+        assert np.array_equal(grouped.mask, cube.mask)
+
+    @pytest.mark.parametrize("n_bands", [512, 1024])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grouped_mask_equals_the_full_band_mask_on_synth_cubes(
+        self, tmp_path, seed, n_bands
+    ):
+        for cube in synth_cubes(tmp_path, seed, n_bands):
+            got, want = background_mask(cube), full_band_split(cube)
+            assert np.array_equal(got.mask, want.mask)
+            assert got.component == want.component
