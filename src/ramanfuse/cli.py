@@ -12,15 +12,13 @@ import argparse
 import math
 import sys
 from dataclasses import astuple, fields, replace
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from . import bovw, dataio, evaluation, experiments, plsda, spectral, svm, synth
 from .errors import (
-    DataError, DimMismatch, MalformedFile, ModalityMismatch, NumericalError, SingleClass,
-    SpectrumTooShort, TooFewPatients,
+    DataError, DimMismatch, MalformedFile, ModalityMismatch, NumericalError, SpectrumTooShort,
 )
 from .seeds import derive_seed
 from .sift import DESCRIPTOR_LENGTH
@@ -216,56 +214,26 @@ def _make_dir(path: Path) -> Path:
     return path
 
 
-def _out_path(args, what: str) -> str:
-    """The required --out file, with its parent directory made; checked
-    before a command does any work."""
+def _out_arg(args, what: str) -> Path:
+    """The required --out path, checked for before a command does any work."""
     if not args.out:
         raise _UsageError(f"an --out {what} is required")
-    if Path(args.out).is_dir():
+    return Path(args.out)
+
+
+def _out_path(args, what: str) -> str:
+    """The required --out file, with its parent directory made."""
+    if _out_arg(args, what).is_dir():
         raise DataError(f"the --out {what} {args.out} is a directory")
     _make_dir(Path(args.out).parent)
     return args.out
-
-
-def _out_dir(args) -> Path:
-    if not args.out:
-        raise _UsageError("an --out location is required")
-    return _make_dir(Path(args.out))
-
-
-def _check_fold_plans(records, y, cfg, seeds, roc: bool = False) -> None:
-    """Deal every seed's folds from the task's records alone, so a cohort
-    too small for them fails before any cube is loaded. Every fold's
-    training rows must hold both classes, which a fit needs; with roc, its
-    test rows must too (which implies the former), for its ROC."""
-    plans = [evaluation.plan_folds(records, cfg.folds, cfg.reference_fraction, seed)
-             for seed in seeds]
-    side, need = ("test", "ROC") if roc else ("training", "a fit")
-    for r, fold in enumerate(plans):
-        dealt = y[fold >= 0]
-        for f, (train, test) in enumerate(evaluation.fold_pairs(fold), start=1):
-            if len(np.unique(dealt[test if roc else train])) < 2:
-                raise SingleClass(f"reference set {r}, fold {f}: the {side} rows hold one "
-                                  f"class only, and {need} needs both")
-
-
-def _reference_pool(records, args, cfg, seed) -> np.ndarray:
-    """The seed's reference-pool mask over the task's records. Dictionaries
-    are built from the pool's descriptors, so an empty pool fails before any
-    cube is loaded."""
-    pool = evaluation.reference_pool(records, cfg.reference_fraction, seed)
-    if not pool.any():
-        raise TooFewPatients(f"--reference-fraction {cfg.reference_fraction:g} puts no patient "
-                             f"of task {args.task} in the reference pool, which the "
-                             f"dictionaries are built from")
-    return pool
 
 
 # --- subcommands -------------------------------------------------------------------
 
 
 def _cmd_synth(args) -> int:
-    out = _out_dir(args)
+    out = _make_dir(_out_arg(args, "location"))
     spec = synth.SynthSpec(
         n_patients=args.n_patients,
         n_samples=args.n_samples,
@@ -287,7 +255,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     manifest = _load_task_manifest(args)
-    out = _out_dir(args)
+    out = _make_dir(_out_arg(args, "location"))
     cfg = _pipeline_config(args)
     for record in manifest.samples:
         with experiments.naming_sample(record):
@@ -301,7 +269,7 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_median_spectrum(args) -> int:
     manifest = _load_task_manifest(args)
-    out = _out_dir(args)
+    out = _make_dir(_out_arg(args, "location"))
     for record in manifest.samples:
         with experiments.naming_sample(record):
             sample = experiments.prepare_sample(record, routes=())
@@ -319,9 +287,9 @@ def _cmd_build_dict(args) -> int:
     cfg = _pipeline_config(args)
     k = args.k if args.k is not None else (cfg.k_dp if modality == "dp" else cfg.k_rci)
 
-    records, _ = experiments.task_records(manifest, args.task)
-    keep = _reference_pool(records, args, cfg, args.seed)
-    reference = replace(manifest, samples=tuple(compress(records, keep)))
+    plan = experiments.RunPlan.draw(manifest, args.task, cfg, args.seed, routes=(modality,))
+    reference = replace(manifest, samples=tuple(
+        record for record, in_pool in zip(plan.records, plan.reference) if in_pool))
     desc = experiments.extract_cohort(reference, args.task, cfg, routes=(modality,))
     pooled = desc.pool(modality, range(len(desc.y)))
     dictionary = bovw.kmeans(pooled, k, args.seed, modality=modality)
@@ -368,27 +336,14 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _check_both_classes(task: str, which: str, y) -> None:
-    """Fail before any cube is read when the rows a fit reads hold one class."""
-    if len(np.unique(y)) < 2:
-        raise SingleClass(f"task {task}: the {which} rows do not hold both classes, "
-                          f"which a fit needs")
-
-
 def _cmd_train(args) -> int:
     manifest = _load_task_manifest(args)
     out = _out_path(args, "model file")
     modality, settings = args.modality, _route_settings(args)
     cfg = _pipeline_config(args)
-    records, y = experiments.task_records(manifest, args.task)
-    if modality == "median-spectrum":
-        which = "task"  # the PLS-DA fit reads the reference medians too
-    else:
-        which = "classification"
-        y = y[~_reference_pool(records, args, cfg, args.seed)]
-    _check_both_classes(args.task, which, y)
-    desc = experiments.extract_cohort(manifest, args.task, cfg,
-                                      routes=experiments.ROUTES[modality])
+    routes = experiments.ROUTES[modality]
+    experiments.RunPlan.draw(manifest, args.task, cfg, args.seed, routes, fit="once")
+    desc = experiments.extract_cohort(manifest, args.task, cfg, routes=routes)
     features = experiments.partition_features(desc, args.seed)
     n = len(features.y)
     model = experiments.RouteModel.fit(features, modality, np.arange(n), settings).classifier
@@ -403,19 +358,18 @@ def _cmd_train(args) -> int:
 
 def _cmd_cv(args) -> int:
     manifest = _load_task_manifest(args)
+    out = _out_arg(args, "location")  # made once the plans pass
     task, modality, n_sets = args.task, args.modality, args.n_reference_sets
     cfg = _pipeline_config(args)
     seeds = ([args.seed] if n_sets == 1
              else [derive_seed(args.seed, "reference-set", r) for r in range(n_sets)])
-    records, y = experiments.task_records(manifest, task)
-    _check_fold_plans(records, y, cfg, seeds, roc=True)
-    if experiments.ROUTES[modality]:
-        for seed in seeds:
-            _reference_pool(records, args, cfg, seed)
-    out = _out_dir(args)
+    routes = experiments.ROUTES[modality]
+    for r, seed in enumerate(seeds):
+        experiments.RunPlan.draw(manifest, task, cfg, seed, routes, fit="roc", reference_set=r)
+    _make_dir(out)
     settings = _route_settings(args)
 
-    desc = experiments.extract_cohort(manifest, task, cfg, routes=experiments.ROUTES[modality])
+    desc = experiments.extract_cohort(manifest, task, cfg, routes=routes)
     sens, spec_, aucs = [], [], []
     for r, set_seed in enumerate(seeds):
         features = experiments.partition_features(desc, set_seed)
@@ -456,9 +410,8 @@ def _cmd_grid(args) -> int:
         [(k_dp, k_rci) for k_dp in args.dp_sizes for k_rci in args.rci_sizes],
         args.c_grid, args.gamma_grid, args.kernels,
     )
-    records, y = experiments.task_records(manifest, args.task)
-    _check_fold_plans(records, y, cfg, [args.seed])
-    _reference_pool(records, args, cfg, args.seed)
+    experiments.RunPlan.draw(manifest, args.task, cfg, args.seed, experiments.IMAGE_ROUTES,
+                             fit="folds")
 
     desc = experiments.extract_cohort(manifest, args.task, cfg)
     features = experiments.partition_features(desc, args.seed, build_dictionaries=False)
@@ -494,13 +447,12 @@ def _cmd_pls_select(args) -> int:
     if args.pretreatments == []:
         raise _UsageError("an empty menu is not valid for --pretreatments")
     menu = [spectral.parse_pretreatment(m) for m in args.pretreatments or ()]
-    records, y = experiments.task_records(manifest, args.task)
-    _check_both_classes(args.task, "task", y)
+    first = experiments.RunPlan.draw(manifest, args.task, fit="once").records[0]
     if menu:
         # Every cube shares the first one's wavenumber axis, so the first
         # cube's band count is the cohort's.
-        with experiments.naming_sample(records[0]):
-            n_bands = dataio.load_cube(records[0].rci_path).n_bands
+        with experiments.naming_sample(first):
+            n_bands = dataio.load_cube(first.rci_path).n_bands
         for chain in menu:
             if chain.min_length > n_bands:
                 raise SpectrumTooShort(f"pretreatment {chain} needs spectra of at least "

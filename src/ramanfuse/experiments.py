@@ -12,7 +12,9 @@ import numpy as np
 
 from . import bovw, dataio, evaluation, imaging, plsda, spectral, svm, synth
 from .dataio import CohortManifest, GreyImage, Label
-from .errors import DimMismatch, InsufficientClassCoverage, RamanFuseError
+from .errors import (
+    DimMismatch, InsufficientClassCoverage, RamanFuseError, SingleClass, TooFewPatients,
+)
 from .sift import SiftParams, descriptor_matrix, extract
 
 TASKS = ("nc-c", "g3-g4")
@@ -104,23 +106,71 @@ def naming_sample(record):
         raise type(exc)(f"sample {record.sample_id}: {exc}") from exc
 
 
-# --- task handling ----------------------------------------------------------------
+# --- task handling and run plans ---------------------------------------------------
 
 
 def task_records(manifest: CohortManifest, task: str):
     """(records, labels) for one clinical question; labels are 0/1 with the
     positive class being cancer (nc-c) or grade 4 (g3-g4)."""
     if task == "nc-c":
-        records = list(manifest.samples)
+        records = tuple(manifest.samples)
         y = np.array([1 if r.label.is_cancer else 0 for r in records])
     elif task == "g3-g4":
-        records = [r for r in manifest.samples if r.label.is_cancer]
+        records = tuple(r for r in manifest.samples if r.label.is_cancer)
         y = np.array([1 if r.label is Label.G4 else 0 for r in records])
     else:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
     if not records:
         raise InsufficientClassCoverage(f"task {task} selects no sample of the manifest")
     return records, y
+
+
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """One reference set's split of a task's rows, drawn from the manifest
+    alone: the seeded patient-level reference pool that dictionaries are
+    built from, and the patient-grouped folds dealt from the other patients."""
+
+    records: tuple
+    y: np.ndarray
+    config: PipelineConfig
+    seed: int
+
+    @classmethod
+    def draw(cls, manifest: CohortManifest, task: str, config: PipelineConfig = PipelineConfig(),
+             seed: int = 0, routes=(), fit=None, reference_set: int = 0) -> "RunPlan":
+        """The seed's plan, checked for a run that builds the dictionaries of
+        `routes` from the reference pool and fits `fit`: None; "once", on the
+        classification rows, or with no route on every task row; "folds", on
+        each fold's training rows; "roc", also scoring its test rows by ROC.
+        reference_set numbers the plan in a fold's error."""
+        plan = cls(*task_records(manifest, task), config, seed)
+        dealt = plan.y[~plan.reference]
+        if routes and not plan.reference.any():
+            raise TooFewPatients(f"--reference-fraction {config.reference_fraction:g} puts no "
+                                 f"patient of task {task} in the reference pool, which the "
+                                 f"dictionaries are built from")
+        if fit == "once" and len(np.unique(dealt if routes else plan.y)) < 2:
+            raise SingleClass(f"task {task}: the {'classification' if routes else 'task'} rows "
+                              f"do not hold both classes, which a fit needs")
+        for f, (train, test) in enumerate(plan.folds if fit in ("folds", "roc") else (), start=1):
+            if len(np.unique(dealt[test if fit == "roc" else train])) < 2:
+                side, need = ("test", "ROC") if fit == "roc" else ("training", "a fit")
+                raise SingleClass(f"reference set {reference_set}, fold {f}: the {side} rows "
+                                  f"hold one class only, and {need} needs both")
+        return plan
+
+    @cached_property
+    def reference(self) -> np.ndarray:
+        """Per task row, whether its patient is in the reference pool."""
+        return evaluation.reference_pool(self.records, self.config.reference_fraction, self.seed)
+
+    @cached_property
+    def folds(self) -> list:
+        """(train, test) index pairs over the classification rows, one per
+        fold: test is the fold's patients' rows, train all the others."""
+        return evaluation.fold_pairs(evaluation.plan_folds(
+            self.records, self.config.folds, self.config.reference_fraction, self.seed))
 
 
 # --- cohort feature construction ---------------------------------------------------
@@ -136,6 +186,7 @@ class CohortDescriptors:
     routes: dict                 # {route: descriptor matrix per sample}, extracted routes only
     medians: np.ndarray
     config: PipelineConfig
+    task: str
 
     def pool(self, route: str, rows) -> np.ndarray:
         """Descriptors of the given rows stacked into one matrix."""
@@ -145,26 +196,20 @@ class CohortDescriptors:
 
 @dataclass(frozen=True)
 class CohortFeatures:
-    """One seeded reference split of a CohortDescriptors. Dictionaries come
-    from the reference rows; the classification rows are encoded."""
+    """One RunPlan's split of a CohortDescriptors. Dictionaries come from the
+    reference rows; the classification rows are encoded."""
 
     descriptors: CohortDescriptors
-    seed: int
+    plan: RunPlan
     histograms: dict    # {route: word-frequency matrix over the classification rows}
-
-    @cached_property
-    def _is_reference(self) -> np.ndarray:
-        return evaluation.reference_pool(
-            self.descriptors.manifest.samples, self.config.reference_fraction, self.seed
-        )
 
     @property
     def reference_rows(self) -> np.ndarray:
-        return np.flatnonzero(self._is_reference)
+        return np.flatnonzero(self.plan.reference)
 
     @property
     def classification_rows(self) -> np.ndarray:
-        return np.flatnonzero(~self._is_reference)
+        return np.flatnonzero(~self.plan.reference)
 
     @property
     def config(self) -> PipelineConfig:
@@ -214,21 +259,24 @@ def extract_cohort(
                               f"than sample {records[0].sample_id}")
         medians.append(sample.median)
     return CohortDescriptors(
-        manifest=CohortManifest(tuple(records), manifest.seed),
+        manifest=CohortManifest(records, manifest.seed),
         y=y,
         routes={route: tuple(descriptors) for route, descriptors in table.items()},
         medians=np.array([median.intensities for median in medians]),
         config=config,
+        task=task,
     )
 
 
 def partition_features(
     desc: CohortDescriptors, seed: int = 0, build_dictionaries: bool = True
 ) -> CohortFeatures:
-    """The light, partition-dependent stage: draw the reference pool, build
+    """The light, partition-dependent stage: draw the seed's RunPlan, build
     a dictionary per extracted route from reference patients, encode the
     rest."""
-    features = CohortFeatures(desc, seed, histograms={})
+    routes = desc.routes if build_dictionaries else ()
+    features = CohortFeatures(desc, RunPlan.draw(desc.manifest, desc.task, desc.config, seed,
+                                                 routes), histograms={})
     if build_dictionaries:
         k = {"dp": desc.config.k_dp, "rci": desc.config.k_rci}
         features = replace(features, histograms={
@@ -320,13 +368,8 @@ def grid_feature_sets(features: CohortFeatures, dp_sizes, rci_sizes, seed: int) 
 
 
 def plan_fold_indices(features: CohortFeatures):
-    """(train, test) index pairs over the classification rows, one per fold
-    of config.folds dealt from the patients outside the reference pool:
-    test is the fold's patients' rows, train all other classification rows."""
-    config = features.config
-    return evaluation.fold_pairs(evaluation.plan_folds(
-        features.descriptors.manifest.samples, config.folds, config.reference_fraction,
-        features.seed))
+    """The fold pairs of the features' plan, dealt once per plan."""
+    return features.plan.folds
 
 
 # --- multi-seed benchmark ----------------------------------------------------------

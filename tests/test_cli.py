@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ramanfuse import bovw, cli, dataio, evaluation, experiments, spectral, svm, synth
-from ramanfuse.errors import NumericalError
+from ramanfuse.errors import DataError, NumericalError
 from test_dataio import corrupted, corruption_settings
 
 COHORT_FLAGS = [
@@ -145,6 +145,15 @@ def empty_file_manifest(tmp_path, labels):
     return str(path)
 
 
+def draw_error(path, config=experiments.PipelineConfig(), task="nc-c", **draw):
+    """The stderr line of the data error that experiments.RunPlan.draw
+    raises on the manifest at path: a command's up-front plan error, raised
+    through the API."""
+    with pytest.raises(DataError) as caught:
+        experiments.RunPlan.draw(dataio.load_manifest(path), task, config, **draw)
+    return f"ramanfuse: data error: {caught.value}"
+
+
 @pytest.fixture(scope="module")
 def cv_fused_dir(manifest, tmp_path_factory):
     out = tmp_path_factory.mktemp("cv_fused")
@@ -209,14 +218,17 @@ class TestExitCodes:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command", ["build-dict", "encode", "train", "grid", "pls-select"]
+        "command", ["build-dict", "encode", "train", "cv", "grid", "pls-select"]
     )
     def test_missing_out_fails_before_any_cube_is_loaded(
-        self, manifest, no_cubes, capsys, command
+        self, small_manifest, no_cubes, capsys, command
     ):
+        # The cohort is too small for five folds, which cv and grid check
+        # only after --out.
         extra = ["--modality", "dp"] if command == "build-dict" else []
-        assert cli.main([command, "--manifest", manifest, *extra]) == 1
-        assert "--out" in capsys.readouterr().err
+        assert cli.main([command, "--manifest", small_manifest, *extra]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "an --out" in err[0]
 
     @pytest.mark.parametrize("n_bands, shift", [(24, 0.0), (32, 1.0)], ids=["bands", "axis"])
     @pytest.mark.parametrize("argv", [
@@ -607,6 +619,7 @@ class TestTrain:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"ramanfuse: data error: task nc-c: the {rows} rows do not hold both "
                        f"classes, which a fit needs"]
+        assert err == [draw_error(path, routes=experiments.ROUTES[modality], fit="once")]
         assert not out.exists()
 
     def test_cancer_only_in_the_reference_pool_fails_only_the_bovw_fits(
@@ -705,6 +718,8 @@ class TestCrossValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "reference set 0, fold " in err[0]
         assert "the test rows hold one class only" in err[0]
+        assert err == [draw_error(path, replace(cli._PIPELINE, folds=2),
+                                  routes=experiments.ROUTES[modality], fit="roc")]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -748,6 +763,8 @@ class TestCrossValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "reference set 0, fold " in err[0]
         assert "the training rows hold one class only" in err[0]
+        assert err == [draw_error(path, replace(cli._PIPELINE, folds=2),
+                                  routes=experiments.IMAGE_ROUTES, fit="folds")]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -764,6 +781,7 @@ class TestCrossValidation:
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["ramanfuse: data error: task g3-g4 selects no sample of the manifest"]
+        assert err == [draw_error(path, task="g3-g4")]
         assert not out.exists()
 
 
@@ -944,6 +962,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["ramanfuse: data error: 3 patients left for 5 folds after the "
                        "reference pool"]
+        assert err == [draw_error(small_manifest, fit="roc" if argv[0] == "cv" else "folds")]
         assert not out.exists()
 
     def test_every_reference_set_is_checked_for_its_folds_before_any_cube_is_loaded(
@@ -975,6 +994,8 @@ class TestConfigValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["ramanfuse: data error: --reference-fraction 0.01 puts no patient of "
                        "task nc-c in the reference pool, which the dictionaries are built from"]
+        config = replace(cli._PIPELINE, reference_fraction=0.01)
+        assert err == [draw_error(path, config, routes=("rci",))]
         assert not out.exists()
 
     def test_median_spectrum_cv_needs_no_reference_pool(self, tmp_path, no_cubes):

@@ -37,7 +37,7 @@ def fold_plan(features):
     """plan_folds' label per task row: -1 reference pool, else the fold."""
     config = features.config
     return evaluation.plan_folds(features.descriptors.manifest.samples, config.folds,
-                                 config.reference_fraction, features.seed)
+                                 config.reference_fraction, features.plan.seed)
 
 
 def patients(features, rows):
@@ -48,11 +48,12 @@ def patients(features, rows):
 def spectra_features(medians, y):
     """CohortFeatures over the given median spectra alone: one patient per
     row, no image route and no reference row."""
-    records = tuple(dataio.SampleRecord(f"p{i}", f"s{i}", dataio.Label.NORMAL, "", "")
-                    for i in range(len(y)))
+    labels = (dataio.Label.NORMAL, dataio.Label.G3)
+    records = tuple(dataio.SampleRecord(f"p{i}", f"s{i}", labels[label], "", "")
+                    for i, label in enumerate(y))
     desc = experiments.CohortDescriptors(
         dataio.CohortManifest(records, 0), np.asarray(y), {}, np.asarray(medians),
-        replace(CONFIG, reference_fraction=0.0),
+        replace(CONFIG, reference_fraction=0.0), "nc-c",
     )
     features = experiments.partition_features(desc, seed=0)
     assert len(features.reference_rows) == 0
@@ -62,7 +63,7 @@ def spectra_features(medians, y):
 def reference_patients(features):
     samples = features.descriptors.manifest.samples
     pool = evaluation.reference_pool(samples, features.config.reference_fraction,
-                                     features.seed)
+                                     features.plan.seed)
     return patients(features, np.flatnonzero(pool))
 
 
@@ -274,6 +275,22 @@ class TestTwoStageFeatures:
 
 
 class TestFoldIndices:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_a_plan_drawn_before_any_cube_is_the_split_the_run_reads(
+        self, cohort, descriptors, monkeypatch, seed
+    ):
+        with monkeypatch.context() as m:
+            for name in ("load_cube", "load_image"):
+                m.setattr(dataio, name, lambda *args: pytest.fail("a data file was read"))
+            plan = experiments.RunPlan.draw(cohort, "nc-c", CONFIG, seed, experiments.IMAGE_ROUTES)
+            folds = plan.folds
+        features = experiments.partition_features(descriptors, seed)
+        assert np.array_equal(np.flatnonzero(plan.reference), features.reference_rows)
+        run_folds = experiments.plan_fold_indices(features)
+        assert len(folds) == len(run_folds) == CONFIG.folds
+        for pair, run_pair in zip(folds, run_folds):
+            assert all(np.array_equal(a, b) for a, b in zip(pair, run_pair))
+
     def test_fold_indices_partition_the_rows(self, features):
         folds = experiments.plan_fold_indices(features)
         assert len(folds) == CONFIG.folds
@@ -302,11 +319,25 @@ class TestFoldIndices:
 
 
 class TestRoutes:
-    def test_bovw_cv_report_shape(self, features):
-        report = experiments.run_bovw_cv(features, "fused")
-        assert len(report.fold_aucs) == CONFIG.folds
-        assert all(0.0 <= a <= 1.0 for a in report.fold_aucs)
-        assert 0.0 <= report.pooled_auc <= 1.0
+    def test_bovw_cv_report_shape(self, descriptors, monkeypatch):
+        # The four cross-validations of one CohortFeatures, as the bench's
+        # cv_all job runs them, deal its folds once.
+        calls = []
+        real_plan_folds = evaluation.plan_folds
+
+        def plan_folds(*args, **kwargs):
+            calls.append(args)
+            return real_plan_folds(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "plan_folds", plan_folds)
+        features = experiments.partition_features(descriptors, seed=0)
+        reports = [experiments.run_bovw_cv(features, route) for route in ("dp", "rci", "fused")]
+        reports.append(experiments.run_pls_cv(features, spectral.parse_pretreatment("snv"), 3))
+        for report in reports:
+            assert len(report.fold_aucs) == CONFIG.folds
+            assert all(0.0 <= a <= 1.0 for a in report.fold_aucs)
+            assert 0.0 <= report.pooled_auc <= 1.0
+        assert len(calls) == 1
 
     def test_svm_route_model_emits_labels_and_probabilities(self, features):
         rows = np.arange(len(features.y))
